@@ -1224,9 +1224,6 @@ let timing () =
   header "timing  (Bechamel, monotonic clock, ns/run)";
   let cube = Gen.hypercube 6 in
   let valiant = Valiant.routing cube in
-  (* Warm the distribution caches so the benches time the algorithm, not
-     cache population. *)
-  ignore (Oblivious.distribution valiant 0 63);
   let grid = Gen.grid 5 5 in
   let cliques = Gen.two_cliques 12 in
   let c_gadget = Gen.c_graph 12 6 in

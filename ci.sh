@@ -18,7 +18,8 @@
 # `sso trace flame` folded stacks), and the crash-safety layer via the
 # chaos harness (kill-and-resume digest-identical, bit-flipped
 # checkpoints and streams always exit 11, faulted replays
-# jobs-invariant).
+# jobs-invariant), and the end-to-end benchmark's self-test (its
+# correctness checks still trip on known-bad inputs).
 #
 # Fails fast: the first failing step stops the run, and the last stderr
 # line names the step that broke.
@@ -44,3 +45,4 @@ run_step ./scale_smoke.sh
 run_step ./serve_smoke.sh
 run_step ./obs_smoke.sh
 run_step ./chaos_smoke.sh
+run_step python3 perfbench/run.py --self-test

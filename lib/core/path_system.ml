@@ -14,12 +14,13 @@ type t = {
   generate : int -> int -> Path.t list;
   arena : Path_arena.t;
   index : (int * int, entry) Hashtbl.t;
-  (* Guards [index] and arena appends, and serializes [generate] so systems
-     can be queried from pool workers.  Generation happens under the lock:
-     generators may share an RNG or memoize internally, and per-pair results
-     must not depend on which domain asks first.  Reads of installed slices
-     are lock-free: arena regions are immutable once their entry is
-     published. *)
+  (* Guards [index] and arena appends.  [entry] generates a missing pair
+     under the lock, but [materialize_parallel] calls [generate] from pool
+     workers without it, so generators must be thread-safe, and a pair's
+     paths must not depend on which pairs were generated before it or on
+     which domain asks: {!Sampler} gets both from one [Rng.split_at] child
+     per pair.  Reads of installed slices are lock-free: arena regions are
+     immutable once their entry is published. *)
   lock : Mutex.t;
 }
 

@@ -28,7 +28,9 @@ val of_pairs : Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -
 val of_generator : Sso_graph.Graph.t -> (int -> int -> Sso_graph.Path.t list) -> t
 (** Lazy construction; the generator is consulted once per pair and must
     return valid deduplicated paths on the given graph.  Validation happens
-    at query time. *)
+    at query time.  {!materialize_parallel} calls the generator from pool
+    workers without the system's lock, so it must be thread-safe, and a
+    pair's paths must not depend on query order. *)
 
 val graph : t -> Sso_graph.Graph.t
 (** The graph the system's paths live on. *)
@@ -41,10 +43,11 @@ val arena : t -> Sso_graph.Arena.t
 
 val paths : t -> int -> int -> Sso_graph.Path.t list
 (** [P(s,t)]; [[]] when the system offers no paths for the pair.  Safe to
-    call from pool workers: the memo index is mutex-guarded and generation
-    is serialized, so every caller sees the same per-pair sets.  Each call
-    reconstructs boxed paths from the arena (in generation order); callers
-    on hot paths should prefer {!slice_range} and the arena kernels. *)
+    call from pool workers: the memo index is mutex-guarded and the first
+    installed result of a pair wins, so every caller sees the same per-pair
+    sets.  Each call reconstructs boxed paths from the arena (in generation
+    order); callers on hot paths should prefer {!slice_range} and the arena
+    kernels. *)
 
 val slice_range : t -> int -> int -> int * int
 (** [(first, count)]: the pair's candidates occupy arena slices

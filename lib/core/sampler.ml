@@ -6,12 +6,9 @@ module Rng = Sso_prng.Rng
 
 module PS = Set.Make (Path)
 
-let draw rng obl count s t =
-  let rec go k acc =
-    if k = 0 then PS.elements acc
-    else go (k - 1) (PS.add (Oblivious.sample rng obl s t) acc)
-  in
-  go count PS.empty
+(* Two distinct indices can loop-erase to the same path, so the drawn
+   paths are deduplicated here: a candidate set holds each path once. *)
+let draw rng obl count s t = PS.elements (PS.of_list (Oblivious.draw rng obl s t ~count))
 
 (* Each pair samples from its own [Rng.split_at] child keyed by (s,t), so
    the drawn paths do not depend on which pair is queried first — the lazy

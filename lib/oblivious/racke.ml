@@ -112,7 +112,8 @@ let of_forest g forest =
   let count = List.length forest in
   if count = 0 then invalid_arg "Racke.of_forest: empty forest";
   let weight = 1.0 /. float_of_int count in
-  let generate s t = List.map (fun tree -> (weight, Frt.route tree s t)) forest in
-  Oblivious.make ~name:"racke" g generate
+  let trees = Array.of_list forest in
+  Oblivious.make_indexed ~name:"racke" g (fun s t ->
+      Oblivious.indexed (Array.make count weight) (fun i -> Frt.route trees.(i) s t))
 
 let routing ?pool rng ?trees ?batch g = of_forest g (forest ?pool rng ?trees ?batch g)

@@ -40,7 +40,9 @@ val forest :
 
 val of_forest : Sso_graph.Graph.t -> Frt.t list -> Oblivious.t
 (** The uniform mixture over an already-built forest.
-    [routing rng g = of_forest g (forest rng g)]. *)
+    [routing rng g = of_forest g (forest rng g)].  The routing is indexed
+    by tree ({!Oblivious.make_indexed}): a draw routes the pair through
+    the drawn trees only, each once. *)
 
 val tree_loads :
   ?pool:Sso_engine.Pool.t -> Sso_graph.Graph.t -> Frt.t -> float array

@@ -24,27 +24,21 @@ let bitfix_path g s t =
   let d = dimension_of g in
   Path.of_vertices g (bitfix_vertices d s t)
 
+(* Every intermediate [r] has weight [1/n].  The weight vector is built
+   per pair, so the routing holds no O(n) table between draws. *)
+let through_intermediates ~name g leg =
+  let n = Graph.n g in
+  let w = 1.0 /. float_of_int n in
+  Oblivious.make_indexed ~name g (fun s t ->
+      Oblivious.indexed (Array.make n w) (fun r -> Path.concat g (leg s r) (leg r t)))
+
 let routing g =
   (* Validate that g is a hypercube before first use. *)
   let (_ : int) = dimension_of g in
-  let n = Graph.n g in
-  let generate s t =
-    List.init n (fun r ->
-        let through =
-          Path.concat g (bitfix_path g s r) (bitfix_path g r t)
-        in
-        (1.0 /. float_of_int n, through))
-  in
-  Oblivious.make ~name:"valiant" g generate
+  through_intermediates ~name:"valiant" g (bitfix_path g)
 
 let generalized ~base =
-  let g = Oblivious.graph base in
-  let n = Graph.n g in
   let leg a b =
     if a = b then Path.trivial a else snd (List.hd (Oblivious.distribution base a b))
   in
-  let generate s t =
-    List.init n (fun r ->
-        (1.0 /. float_of_int n, Path.concat g (leg s r) (leg r t)))
-  in
-  Oblivious.make ~name:("valiant+" ^ Oblivious.name base) g generate
+  through_intermediates ~name:("valiant+" ^ Oblivious.name base) (Oblivious.graph base) leg

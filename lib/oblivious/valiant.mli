@@ -8,8 +8,10 @@
     (Section 5.1).
 
     The distribution enumerates all [2^d] intermediates, so only use
-    {!Oblivious.distribution} on moderate dimensions; {!Oblivious.sample}
-    is what the α-sampler uses and is cheap. *)
+    {!Oblivious.distribution} on moderate dimensions.  {!Oblivious.draw},
+    which the α-sampler uses, is cheap: the routing is indexed by the
+    intermediate, so a draw picks [count] intermediates from the [2^d]
+    equal weights and builds only their paths, O(d) each. *)
 
 val routing : Sso_graph.Graph.t -> Oblivious.t
 (** [routing g] for [g] a hypercube built by {!Sso_graph.Gen.hypercube}
@@ -25,4 +27,5 @@ val generalized : base:Oblivious.t -> Oblivious.t
     graph: route [s → r → t] through a uniformly random intermediate [r],
     with both legs taken from [base]'s (first) path.  Reduces to the
     classic hypercube trick when [base] is e-cube.  The per-pair support
-    is Θ(n), so use on moderate graphs. *)
+    is Θ(n), so use {!Oblivious.distribution} on moderate graphs; like
+    {!routing}, a draw builds only the drawn intermediates' paths. *)

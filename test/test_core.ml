@@ -129,32 +129,43 @@ let test_slice_view_matches_paths () =
 let test_materialize_parallel_jobs_invariant () =
   (* Chunked parallel materialization must produce the same arena layout
      and the same candidate sets at any job count, and must agree with the
-     serial path on content. *)
+     serial path on content.  KSP draws from memoized distributions under
+     the routing's lock; Valiant and Räcke draw indexed paths outside it. *)
   let pairs = [ (0, 24); (1, 23); (2, 22); (3, 21); (4, 20); (5, 19);
                 (6, 18); (7, 17); (8, 16); (9, 15); (10, 14); (11, 13) ] in
-  let build jobs =
-    let g = Gen.grid 5 5 in
-    let obl = Ksp.routing ~k:4 g in
-    let ps = Sampler.alpha_sample (Rng.create 7) obl ~alpha:3 in
-    (match jobs with
-    | None -> Path_system.materialize ps pairs
-    | Some jobs ->
-        let pool = Pool.create ~jobs () in
-        Path_system.materialize_parallel ~pool ps pairs);
-    let arena = Path_system.arena ps in
-    ( List.map
-        (fun (s, t) ->
-          ((s, t), Path_system.slice_range ps s t, Path_system.paths ps s t))
-        pairs,
-      Sso_graph.Arena.length arena,
-      Sso_graph.Arena.memory_bytes arena )
+  let grid = Gen.grid 5 5 and cube = Gen.hypercube 5 in
+  let forest = Racke.forest (Rng.create 3) ~trees:4 grid in
+  let bases =
+    [
+      ("ksp", fun () -> Ksp.routing ~k:4 grid);
+      ("valiant", fun () -> Valiant.routing cube);
+      ("racke", fun () -> Racke.of_forest grid forest);
+    ]
   in
-  let j1 = build (Some 1) in
-  let j4 = build (Some 4) in
-  Alcotest.(check bool) "jobs 1 = jobs 4 (layout and content)" true (j1 = j4);
-  let content (entries, _, _) = List.map (fun (p, _, ps) -> (p, ps)) entries in
-  Alcotest.(check bool) "parallel content = serial content" true
-    (content j1 = content (build None))
+  List.iter
+    (fun (name, base) ->
+      let build jobs =
+        let ps = Sampler.alpha_sample (Rng.create 7) (base ()) ~alpha:3 in
+        (match jobs with
+        | None -> Path_system.materialize ps pairs
+        | Some jobs ->
+            let pool = Pool.create ~jobs () in
+            Path_system.materialize_parallel ~pool ps pairs);
+        let arena = Path_system.arena ps in
+        ( List.map
+            (fun (s, t) ->
+              ((s, t), Path_system.slice_range ps s t, Path_system.paths ps s t))
+            pairs,
+          Sso_graph.Arena.length arena,
+          Sso_graph.Arena.memory_bytes arena )
+      in
+      let j1 = build (Some 1) in
+      let j4 = build (Some 4) in
+      Alcotest.(check bool) (name ^ ": jobs 1 = jobs 4 (layout and content)") true (j1 = j4);
+      let content (entries, _, _) = List.map (fun (p, _, ps) -> (p, ps)) entries in
+      Alcotest.(check bool) (name ^ ": parallel content = serial content") true
+        (content j1 = content (build None)))
+    bases
 
 let test_of_oblivious_support () =
   let g = Gen.grid 3 3 in
@@ -209,6 +220,57 @@ let test_sample_reproducible () =
   let paths1 = Path_system.paths ps1 0 15 and paths2 = Path_system.paths ps2 0 15 in
   Alcotest.(check bool) "same seed, same sample" true
     (List.for_all2 Path.equal paths1 paths2)
+
+(* Golden α-sample digests, recorded when every sample still materialized
+   the pair's whole oblivious distribution before drawing from it.  The
+   draws must stay bit-identical: same paths, same arena layout. *)
+
+let arena_digest ps pairs =
+  Path_system.materialize ps pairs;
+  Sso_artifact.Codec.hex_of_key
+    (Sso_artifact.Codec.fnv1a64
+       (Sso_artifact.Codec.encode_arena (Path_system.arena ps)))
+
+let golden_pairs n =
+  List.filter_map
+    (fun i ->
+      let s = i and t = ((i * 37) + 11) mod n in
+      if s = t then None else Some (s, t))
+    (List.init n Fun.id)
+
+let golden_bases () =
+  let valiant d =
+    (Printf.sprintf "valiant d=%d" d, Valiant.routing (Gen.hypercube d))
+  in
+  let wan = Gen.random_regular (Rng.create 17) 24 4 in
+  [
+    valiant 5;
+    valiant 6;
+    valiant 7;
+    ("generalized valiant", Valiant.generalized ~base:(Deterministic.shortest_path wan));
+    ("racke", Racke.routing (Rng.create 19) ~trees:6 wan);
+  ]
+
+let golden_digests =
+  [
+    ("valiant d=5", "19faca149ea06f40", "2e2b4f916522c5f2");
+    ("valiant d=6", "941828854ba0f551", "95afcb922dac29f2");
+    ("valiant d=7", "9ae6fe47d431ec43", "3f5c272149098bef");
+    ("generalized valiant", "49213b133d184320", "c752a2d05aa13e05");
+    ("racke", "5a062d0c01e7ae0b", "03b69d9e29d00a06");
+  ]
+
+let test_alpha_sample_golden () =
+  let got =
+    List.map
+      (fun (name, obl) ->
+        let pairs = golden_pairs (Graph.n (Oblivious.graph obl)) in
+        ( name,
+          arena_digest (Sampler.alpha_sample (Rng.create 23) obl ~alpha:3) pairs,
+          arena_digest (Sampler.alpha_cut_sample (Rng.create 29) obl ~alpha:2) pairs ))
+      (golden_bases ())
+  in
+  Alcotest.(check (list (triple string string string))) "arena digests" golden_digests got
 
 (* Semi-oblivious evaluation *)
 
@@ -1185,6 +1247,7 @@ let () =
           Alcotest.test_case "deterministic base" `Quick test_alpha_sample_deterministic_base;
           Alcotest.test_case "cnt and cut sample" `Quick test_cnt_and_cut_sample;
           Alcotest.test_case "reproducible" `Quick test_sample_reproducible;
+          Alcotest.test_case "golden digests" `Quick test_alpha_sample_golden;
         ] );
       ( "semi-oblivious",
         [

@@ -55,6 +55,55 @@ let test_wrapper_rejects_diagonal () =
   Alcotest.check_raises "s = t" (Invalid_argument "Oblivious.distribution: s = t")
     (fun () -> ignore (Oblivious.distribution obl 1 1))
 
+let test_indexed_rejects_non_positive () =
+  let path _ = Path.trivial 0 in
+  List.iter
+    (fun weights ->
+      Alcotest.check_raises "non-positive"
+        (Invalid_argument "Oblivious.indexed: non-positive weight") (fun () ->
+          ignore (Oblivious.indexed weights path)))
+    [ [| 1.0; 0.0 |]; [| -1.0; 2.0 |]; [| Float.nan |] ];
+  Alcotest.check_raises "empty" (Invalid_argument "Oblivious.indexed: empty distribution")
+    (fun () -> ignore (Oblivious.indexed [||] path))
+
+let test_indexed_checks_endpoints () =
+  (* The only index routes 0 -> 2 whatever pair is asked, so only (0,2)
+     is valid; every path a draw builds gets the endpoint check. *)
+  let g = Gen.cycle 5 in
+  let obl =
+    Oblivious.make_indexed ~name:"bad" g (fun _ _ ->
+        Oblivious.indexed [| 1.0 |] (fun _ -> Path.of_vertices g [ 0; 1; 2 ]))
+  in
+  Alcotest.(check int) "valid pair" 3
+    (List.length (Oblivious.draw (Rng.create 1) obl 0 2 ~count:3));
+  let mismatch = Invalid_argument "Oblivious.distribution: path endpoints do not match pair" in
+  Alcotest.check_raises "draw" mismatch (fun () ->
+      ignore (Oblivious.draw (Rng.create 1) obl 0 3 ~count:1));
+  Alcotest.check_raises "distribution" mismatch (fun () ->
+      ignore (Oblivious.distribution obl 0 3))
+
+let test_indexed_builds_drawn_paths_once () =
+  (* Sixteen equal weights, 40 draws: each distinct drawn index is built
+     exactly once, and nothing else is. *)
+  let g = Gen.hypercube 4 in
+  let built = ref [] in
+  let obl =
+    Oblivious.make_indexed ~name:"counting" g (fun s t ->
+        Oblivious.indexed (Array.make 16 1.0) (fun r ->
+            built := r :: !built;
+            Path.concat g (Valiant.bitfix_path g s r) (Valiant.bitfix_path g r t)))
+  in
+  let drawn = Oblivious.draw (Rng.create 9) obl 0 15 ~count:40 in
+  Alcotest.(check int) "one path per draw" 40 (List.length drawn);
+  let distinct = List.sort_uniq compare !built in
+  Alcotest.(check int) "each index built once" (List.length distinct) (List.length !built);
+  Alcotest.(check bool) "fewer builds than the support" true (List.length !built < 16);
+  (* Once [distribution] has cached the pair, draws read the cache. *)
+  ignore (Oblivious.distribution obl 0 15);
+  built := [];
+  ignore (Oblivious.draw (Rng.create 9) obl 0 15 ~count:40);
+  Alcotest.(check int) "cached pair builds nothing" 0 (List.length !built)
+
 (* Valiant *)
 
 let test_bitfix_path () =
@@ -591,6 +640,39 @@ let prop_sample_matches_support =
         List.exists (Path.equal p) support
       end)
 
+(* The reference draw: materialize the pair's whole distribution, then
+   make [count] [Rng.discrete] picks over its weights. *)
+let materialized_draw rng obl s t ~count =
+  let dist = Array.of_list (Oblivious.distribution obl s t) in
+  let weights = Array.map fst dist in
+  List.init count (fun _ -> snd dist.(Rng.discrete rng weights))
+
+let prop_draw_matches_materialized =
+  let cube = Gen.hypercube 4 and wan = Gen.random_regular (Rng.create 5) 12 3 in
+  let forest = Racke.forest (Rng.create 6) ~trees:5 wan in
+  let bases =
+    [|
+      (fun () -> Valiant.routing cube);
+      (fun () -> Racke.of_forest wan forest);
+      (fun () -> Valiant.generalized ~base:(Deterministic.shortest_path wan));
+      (fun () -> Ksp.routing ~k:4 wan);
+    |]
+  in
+  QCheck.Test.make ~name:"draw ~count:k = k discrete picks over the distribution"
+    ~count:80
+    QCheck.(triple small_int (int_bound 3) (int_range 1 12))
+    (fun (seed, which, count) ->
+      let fresh = bases.(which) in
+      let n = Graph.n (Oblivious.graph (fresh ())) in
+      let pick = Rng.create seed in
+      let s = Rng.int pick n in
+      let t = (s + 1 + Rng.int pick (n - 1)) mod n in
+      let rng = Rng.create (seed + 1000) and reference = Rng.create (seed + 1000) in
+      let drawn = Oblivious.draw rng (fresh ()) s t ~count in
+      let expected = materialized_draw reference (fresh ()) s t ~count in
+      List.equal Path.equal drawn expected
+      && Rng.fingerprint rng = Rng.fingerprint reference)
+
 let prop_to_routing_congestion_matches =
   QCheck.Test.make ~name:"Oblivious.congestion agrees with Routing.congestion" ~count:30
     QCheck.small_int
@@ -611,6 +693,11 @@ let () =
         [
           Alcotest.test_case "memoizes" `Quick test_wrapper_memoizes;
           Alcotest.test_case "rejects diagonal" `Quick test_wrapper_rejects_diagonal;
+          Alcotest.test_case "indexed rejects non-positive" `Quick
+            test_indexed_rejects_non_positive;
+          Alcotest.test_case "indexed checks endpoints" `Quick test_indexed_checks_endpoints;
+          Alcotest.test_case "indexed builds drawn paths once" `Quick
+            test_indexed_builds_drawn_paths_once;
         ] );
       ( "valiant",
         [
@@ -686,6 +773,7 @@ let () =
           [
             prop_frt_ball_growing_matches_all_pairs;
             prop_sample_matches_support;
+            prop_draw_matches_materialized;
             prop_to_routing_congestion_matches;
           ] );
     ]
