@@ -45,7 +45,6 @@ module Completion = Sso_core.Completion
 module Lower_bound = Sso_core.Lower_bound
 module Stats = Sso_stats.Stats
 module Pool = Sso_engine.Pool
-module Metrics = Sso_engine.Metrics
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 module Codec = Sso_artifact.Codec
@@ -79,6 +78,10 @@ let log2_ceil n =
 (* Solver iteration counts, balanced for harness runtime. *)
 let stage4 = Semi_oblivious.Mwu 200
 let opt_solver = Semi_oblivious.Mwu 150
+
+(* --no-timing: experiment tables only.  Wall-clock columns print "-" so
+   the full table output is byte-identical from run to run. *)
+let no_timing = ref false
 
 (* --big widens the instance ranges (larger hypercubes/grids); default
    keeps the full harness under ~20 s. *)
@@ -544,7 +547,7 @@ let e12 () =
   let timed f =
     let t0 = Sys.time () in
     let v = f () in
-    (v, Sys.time () -. t0)
+    (v, if !no_timing then "-" else Printf.sprintf "%.3f" (Sys.time () -. t0))
   in
   Printf.printf "%8s %6s %6s | %18s %18s %18s\n" "n" "pairs" "cands"
     "LP (cong, s)" "MWU-400 (cong, s)" "GK-0.05 (cong, s)";
@@ -555,15 +558,15 @@ let e12 () =
       let d = Demand.random_pairs (Rng.split rng) ~n ~pairs in
       let base = Ksp.routing ~k:4 g in
       let system = Sampler.alpha_sample (Rng.split rng) base ~alpha:4 in
-      let cands = Path_system.to_candidates system (Demand.support d) in
-      let (_, lp), lp_t = timed (fun () -> Min_congestion.lp_on_paths g cands d) in
+      let sc = Path_system.to_slice_candidates system (Demand.support d) in
+      let (_, lp), lp_t = timed (fun () -> Min_congestion.lp_on_slices g sc d) in
       let (_, mwu), mwu_t =
-        timed (fun () -> Min_congestion.mwu_on_paths ~iters:400 g cands d)
+        timed (fun () -> Min_congestion.mwu_on_slices ~iters:400 g sc d)
       in
       let (_, gk), gk_t =
-        timed (fun () -> Concurrent_flow.on_paths ~epsilon:0.05 g cands d)
+        timed (fun () -> Concurrent_flow.on_slices ~epsilon:0.05 g sc d)
       in
-      Printf.printf "%8d %6d %6d | %10.3f %7.3f %10.3f %7.3f %10.3f %7.3f\n" n
+      Printf.printf "%8d %6d %6d | %10.3f %7s %10.3f %7s %10.3f %7s\n" n
         pairs
         (Path_system.sparsity_on system (Demand.support d))
         lp lp_t mwu mwu_t gk gk_t)
@@ -774,13 +777,13 @@ let e18 () =
   let previous = ref None in
   List.iteri
     (fun i d ->
-      let cands = Path_system.to_candidates system (Demand.support d) in
-      let cold_routing, cold = Min_congestion.mwu_on_paths ~iters:300 g cands d in
+      let sc = Path_system.to_slice_candidates system (Demand.support d) in
+      let cold_routing, cold = Min_congestion.mwu_on_slices ~iters:300 g sc d in
       let warm =
         match !previous with
         | None -> cold
         | Some prev ->
-            snd (Min_congestion.mwu_on_paths_warm ~iters:20 ~warm:prev ~warm_weight:60 g cands d)
+            snd (Min_congestion.mwu_on_slices_warm ~iters:20 ~warm:prev ~warm_weight:60 g sc d)
       in
       (* Stale: keep yesterday's rates where defined, first candidate for
          new pairs, and never re-optimize. *)
@@ -943,7 +946,7 @@ let kernel_cases () =
   let d = Demand.random_pairs (seeded 98) ~n:49 ~pairs:24 in
   let base = Ksp.routing ~k:4 grid in
   let system = Sampler.alpha_sample (seeded 99) base ~alpha:4 in
-  let cands = Path_system.to_candidates system (Demand.support d) in
+  let sc = Path_system.to_slice_candidates system (Demand.support d) in
   [
     ( "sssp_all_sources",
       fun () ->
@@ -957,9 +960,9 @@ let kernel_cases () =
         ignore (Min_congestion.mwu_hop_limited ~iters:20 ~max_hops:10 g shared)
     );
     ( "mwu_candidates",
-      fun () -> ignore (Min_congestion.mwu_on_paths ~iters:150 grid cands d) );
+      fun () -> ignore (Min_congestion.mwu_on_slices ~iters:150 grid sc d) );
     ( "gk_candidates",
-      fun () -> ignore (Concurrent_flow.on_paths ~epsilon:0.1 grid cands d) );
+      fun () -> ignore (Concurrent_flow.on_slices ~epsilon:0.1 grid sc d) );
     ( "frt_build_grid",
       fun () -> ignore (Frt.build (seeded 100) grid ~length:(fun _ -> 1.0)) );
     ( "racke_forest_grid",
@@ -1232,7 +1235,7 @@ let timing () =
   in
   let perm = Demand.random_permutation (Rng.create 4) 64 in
   (* Pre-materialize candidates for the stage-4 bench. *)
-  ignore (Path_system.to_candidates prepared_system (Demand.support perm));
+  Path_system.materialize prepared_system (Demand.support perm);
   let attack_base = Ksp.routing ~k:12 c_gadget.Gen.c_graph in
   let attack_system = Sampler.alpha_sample (Rng.create 5) attack_base ~alpha:2 in
   ignore (Lower_bound.attack c_gadget attack_system);
@@ -1765,6 +1768,7 @@ let () =
   let args = Array.to_list Sys.argv in
   let has flag = List.mem flag args in
   if has "--big" then big_scale := true;
+  if has "--no-timing" then no_timing := true;
   let rec find_value flag = function
     | f :: v :: _ when f = flag -> Some v
     | _ :: rest -> find_value flag rest
@@ -1872,7 +1876,7 @@ let () =
   if has "--metrics" then begin
     header
       (Printf.sprintf "metrics  (jobs = %d)" (Pool.default_jobs ()));
-    print_string (Metrics.table ())
+    print_string (Obs.metrics_table ())
   end;
   (match trace_path with
   | None -> ()
@@ -1907,7 +1911,7 @@ let () =
         String.concat ", " (List.map f entries)
       in
       let cache_counter name =
-        Metrics.counter_value (Metrics.counter ("artifact." ^ name))
+        Obs.counter_value (Obs.counter ("artifact." ^ name))
       in
       let json =
         Printf.sprintf
@@ -1935,7 +1939,7 @@ let () =
                  Printf.sprintf "\"%s\": %.17g" (escape name) v
                else Printf.sprintf "\"%s\": \"%.17g\"" (escape name) v)
              !scalars)
-          (Metrics.json ())
+          (Obs.metrics_json ())
       in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc json)

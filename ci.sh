@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI entry point: build everything, run the test suite, then smoke-test the
 # parallel engine by running the E3 adversary experiment on 2 worker
-# domains (its output is deterministic for any job count), the
+# domains (its output is deterministic for any job count), the full
+# experiment tables under --no-timing against bench/golden_experiments.txt
+# (byte for byte), the
 # artifact cache by running E5 cold/warm in a temporary store
 # (byte-identical output, at least one recorded hit), the kernel
 # micro-benchmarks by validating their JSON schema, the tracing
@@ -37,6 +39,7 @@ run_step() {
 run_step dune build
 run_step dune runtest
 run_step dune exec bench/main.exe -- --experiment E3 --no-timing --jobs 2
+run_step sh -c 'dune exec bench/main.exe -- --no-timing | diff -u bench/golden_experiments.txt -'
 run_step ./cache_smoke.sh
 run_step ./kernels_smoke.sh
 run_step ./trace_smoke.sh

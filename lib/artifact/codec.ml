@@ -107,8 +107,9 @@ let tag_distributions = 0x52 (* 'R' *)
 let tag_forest = 0x46 (* 'F' *)
 let tag_arena = 0x41 (* 'A' *)
 
-(* Path systems moved to the arena slot encoding in v2; v1 payloads (edge
-   ids per path) remain decodable so existing caches stay warm. *)
+(* Path systems moved to the arena slot encoding in v2.  v1 payloads (edge
+   ids per path) are rejected as corrupt: the store is content-addressed,
+   so an old entry is a miss and gets rebuilt. *)
 let path_system_version = 2
 let arena_version = 1
 
@@ -120,14 +121,13 @@ let write_header_v w tag v =
   write_u8 w tag;
   write_u8 w v
 
-let read_header_upto r tag ~max =
+let read_header_v r tag version =
   let got = read_u8 r in
   if got <> tag then corrupt "codec: tag mismatch (want %#x, got %#x)" tag got;
   let v = read_u8 r in
-  if v < 1 || v > max then corrupt "codec: unsupported format version %d" v;
-  v
+  if v <> version then corrupt "codec: unsupported format version %d" v
 
-let read_header r tag = ignore (read_header_upto r tag ~max:format_version)
+let read_header r tag = read_header_v r tag format_version
 
 (* Wrap Invalid_argument from reconstruction (Builder, Path.of_edges, ...)
    into Corrupt: a payload describing an impossible object is damage, not a
@@ -282,28 +282,13 @@ let encode_path_system_slices arena ranges =
       done);
   contents w
 
-let encode_path_system g entries =
-  (* Appending into a scratch arena both validates the paths as walks of
-     [g] and produces the slot bytes the v2 format stores. *)
-  let a = Arena.create g in
-  let ranges =
-    List.map
-      (fun ((s, t), paths) ->
-        let first = Arena.length a in
-        List.iter (fun p -> ignore (Arena.append_path a p)) paths;
-        ((s, t), (first, List.length paths)))
-      entries
-  in
-  encode_path_system_slices a ranges
-
 let decode_path_system g s =
   let r = reader s in
-  let version = read_header_upto r tag_path_system ~max:path_system_version in
-  let read_body = if version = 1 then read_path_body else read_slot_path_body in
+  read_header_v r tag_path_system path_system_version;
   let entries =
     read_pairs r (fun src dst ->
         let count = read_varint r in
-        read_list count (fun () -> read_body r g ~src ~dst))
+        read_list count (fun () -> read_slot_path_body r g ~src ~dst))
   in
   expect_end r;
   entries
@@ -324,7 +309,7 @@ let encode_arena a =
 
 let decode_arena g s =
   let r = reader s in
-  ignore (read_header_upto r tag_arena ~max:arena_version);
+  read_header_v r tag_arena arena_version;
   let count = read_varint r in
   let a = Arena.create ~capacity:count g in
   let data = Bytes.unsafe_of_string r.data in

@@ -74,24 +74,20 @@ val encode_path : Sso_graph.Path.t -> string
 val decode_path : Sso_graph.Graph.t -> string -> Sso_graph.Path.t
 (** Decoding validates the edge sequence against the graph. *)
 
-val encode_path_system :
-  Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -> string
-(** Materialized candidate sets, canonically ordered by pair.  Writes the
-    v2 layout: paths are stored as packed CSR-slot bytes (the
-    {!Sso_graph.Arena} encoding) against the graph, roughly one byte per
-    hop.  @raise Invalid_argument if a path is not a walk of the graph. *)
-
 val encode_path_system_slices :
   Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> string
-(** Same format, written directly from an arena: per pair the [count]
-    slices starting at [first] (ranges as [(pair, (first, count))]) are
-    blitted verbatim from the arena's data buffer — no boxed path is
-    materialized on the save path. *)
+(** Candidate sets of a path system, canonically ordered by pair, written
+    directly from its arena: per pair the [count] slices starting at
+    [first] (ranges as [(pair, (first, count))]) are blitted verbatim from
+    the arena's data buffer as packed CSR-slot bytes (the
+    {!Sso_graph.Arena} encoding), roughly one byte per hop.  No boxed path
+    is materialized on the save path. *)
 
 val decode_path_system :
   Sso_graph.Graph.t -> string -> ((int * int) * Sso_graph.Path.t list) list
-(** Accepts both the v1 layout (edge-id varints per path) and v2 — old
-    cache entries stay readable. *)
+(** Decodes the v2 layout written by {!encode_path_system_slices}.  A v1
+    payload (edge-id varints per path) raises [Corrupt]; in the store an
+    old entry is therefore a miss and gets rebuilt. *)
 
 val encode_arena : Sso_graph.Arena.t -> string
 val decode_arena : Sso_graph.Graph.t -> string -> Sso_graph.Arena.t

@@ -198,12 +198,7 @@ let of_oblivious_support obl =
   of_generator (Oblivious.graph obl) (fun s t ->
       List.map snd (Oblivious.distribution obl s t))
 
-let to_candidates ps pair_list =
-  List.map
-    (fun (s, t) -> ((s, t), paths ps s t))
-    (List.sort_uniq compare_pair pair_list)
-
 let to_slice_candidates ps pair_list =
   let pairs = List.sort_uniq compare_pair pair_list in
   let ranges = List.map (fun (s, t) -> ((s, t), slice_range ps s t)) pairs in
-  Sso_flow.Min_congestion.slice_candidates_of_arena ps.arena ranges
+  Sso_flow.Slice_candidates.of_arena ps.arena ranges

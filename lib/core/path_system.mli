@@ -15,8 +15,9 @@
     consecutive slice handles, so sparsity queries are O(1) per pair, the
     Stage-4 solvers index candidates without materializing path lists
     ({!to_slice_candidates}), and failover policies walk candidate slices
-    in place.  {!paths} remains as a compatibility view that reconstructs
-    boxed {!Sso_graph.Path.t} values on demand. *)
+    in place.  {!paths} is the one boxed reader: it reconstructs
+    {!Sso_graph.Path.t} values on demand for rounding, integral routing,
+    the simulator feed and checkpoint verification. *)
 
 type t
 
@@ -109,14 +110,12 @@ val of_oblivious_support : Sso_oblivious.Oblivious.t -> t
 (** The (lazily queried) full support of an oblivious routing — the
     "dense" system the paper's sparse samples are measured against. *)
 
-val to_candidates : t -> (int * int) list -> Sso_flow.Min_congestion.candidates
-(** Materialize candidate lists for the given pairs (input to the
-    list-based Stage-4 entry points).  Pairs are deduplicated and sorted
-    with a monomorphic pair comparator. *)
-
 val to_slice_candidates :
-  t -> (int * int) list -> Sso_flow.Min_congestion.slice_candidates
-(** The slice-index equivalent of {!to_candidates}: candidate ranges of
-    the shared arena, no path lists materialized.  Input to
+  t -> (int * int) list -> Sso_flow.Slice_candidates.t
+(** The Stage-4 input: candidate ranges of the shared arena for the given
+    pairs (deduplicated and sorted with a monomorphic pair comparator), no
+    path lists materialized.  The only way to build a
+    {!Sso_flow.Slice_candidates.t}; input to
+    {!Sso_flow.Min_congestion.lp_on_slices},
     {!Sso_flow.Min_congestion.mwu_on_slices} and
     {!Sso_flow.Concurrent_flow.on_slices}. *)

@@ -2,6 +2,7 @@ module Graph = Sso_graph.Graph
 module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
 module Min_congestion = Sso_flow.Min_congestion
+module Slice_candidates = Sso_flow.Slice_candidates
 module Oblivious = Sso_oblivious.Oblivious
 
 type solver = Lp | Mwu of int | Gk of float
@@ -9,51 +10,40 @@ type solver = Lp | Mwu of int | Gk of float
 let default_solver = Mwu 300
 
 let route ?(solver = default_solver) g ps demand =
+  let sc = Path_system.to_slice_candidates ps (Demand.support demand) in
   match solver with
-  | Lp ->
-      (* The simplex tableau wants explicit per-pair path lists. *)
-      let cands = Path_system.to_candidates ps (Demand.support demand) in
-      Min_congestion.lp_on_paths g cands demand
-  | Mwu iters ->
-      let sc = Path_system.to_slice_candidates ps (Demand.support demand) in
-      Min_congestion.mwu_on_slices ~iters g sc demand
-  | Gk epsilon ->
-      let sc = Path_system.to_slice_candidates ps (Demand.support demand) in
-      Sso_flow.Concurrent_flow.on_slices ~epsilon g sc demand
+  | Lp -> Min_congestion.lp_on_slices g sc demand
+  | Mwu iters -> Min_congestion.mwu_on_slices ~iters g sc demand
+  | Gk epsilon -> Sso_flow.Concurrent_flow.on_slices ~epsilon g sc demand
 
 let congestion ?solver g ps demand = snd (route ?solver g ps demand)
 
 let resolve ?(solver = default_solver) ?warm_start g ps demand =
-  let cands = Path_system.to_candidates ps (Demand.support demand) in
-  let warm =
-    match warm_start with
-    | None -> None
-    | Some (warm, warm_weight) ->
-        (* Keep only warm mass on paths the (possibly pruned) candidate
-           sets still offer; pairs whose entire distribution died are
-           dropped and re-learned by the fresh MWU rounds. *)
-        let filtered =
-          List.filter_map
-            (fun ((s, t), alive_paths) ->
-              let dist =
-                List.filter
-                  (fun (_, p) ->
-                    List.exists (Sso_graph.Path.equal p) alive_paths)
-                  (Routing.distribution warm s t)
-              in
-              if dist = [] || List.for_all (fun (w, _) -> w <= 0.0) dist then None
-              else Some (((s, t), dist), warm_weight))
-            cands
-        in
-        if filtered = [] then None
-        else begin
-          let dists, weights = List.split filtered in
-          Some (Routing.make dists, List.hd weights)
-        end
-  in
-  match (solver, warm) with
-  | Mwu iters, Some (warm, warm_weight) ->
-      Min_congestion.mwu_on_paths_warm ~iters ~warm ~warm_weight g cands demand
+  match (solver, warm_start) with
+  | Mwu iters, Some (warm, warm_weight) -> (
+      let support = Demand.support demand in
+      let sc = Path_system.to_slice_candidates ps support in
+      (* Keep only warm mass on paths the (possibly pruned) candidate
+         sets still offer; pairs whose entire distribution died are
+         dropped and re-learned by the fresh MWU rounds. *)
+      let alive =
+        List.filter_map
+          (fun (s, t) ->
+            let i = Slice_candidates.position sc (s, t) in
+            let dist =
+              List.filter
+                (fun (_, p) -> Slice_candidates.find sc i p >= 0)
+                (Routing.distribution warm s t)
+            in
+            if dist = [] || List.for_all (fun (w, _) -> w <= 0.0) dist then None
+            else Some ((s, t), dist))
+          support
+      in
+      match alive with
+      | [] -> Min_congestion.mwu_on_slices ~iters g sc demand
+      | _ ->
+          Min_congestion.mwu_on_slices_warm ~iters ~warm:(Routing.make alive)
+            ~warm_weight g sc demand)
   | (Lp | Gk _ | Mwu _), _ ->
       (* LP and GK have no incremental form; a cold solve is the warm
          start. *)

@@ -140,16 +140,15 @@ let on_slices ?(epsilon = 0.1) g sc demand =
     let counts = Array.make (Slice_candidates.ncands sc) 0.0 in
     let present = Array.make (Slice_candidates.ncands sc) false in
     let record c amount =
-      let cc = Slice_candidates.canonical sc c in
-      counts.(cc) <- counts.(cc) +. amount;
-      present.(cc) <- true
+      counts.(c) <- counts.(c) +. amount;
+      present.(c) <- true
     in
     let weight e = length.(e) in
     (* Feasibility probe: every commodity must have at least one path. *)
     Array.iter
       (fun i ->
         if i < 0 || Slice_candidates.is_empty_at sc i then
-          invalid_arg "Concurrent_flow: demanded pair has no route")
+          invalid_arg "Concurrent_flow.on_slices: demanded pair has no candidates")
       positions;
     if Obs.tracing () then
       Obs.event "gk.solve"
@@ -201,9 +200,6 @@ let on_slices ?(epsilon = 0.1) g sc demand =
     in
     (routing, Routing.congestion g routing demand)
   end
-
-let on_paths ?epsilon g cands demand =
-  on_slices ?epsilon g (Slice_candidates.of_list g cands) demand
 
 let unrestricted ?epsilon g demand =
   solve ?epsilon g ~oracle:(fun ~weight s t -> Shortest.dijkstra_path g ~weight s t) demand

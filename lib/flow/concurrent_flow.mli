@@ -13,24 +13,16 @@
     a feasible routing of [d] regardless of the approximation constant;
     the test suite cross-validates all three engines against each other. *)
 
-val on_paths :
-  ?epsilon:float ->
-  Sso_graph.Graph.t ->
-  Min_congestion.candidates ->
-  Sso_demand.Demand.t ->
-  Routing.t * float
-(** Min-congestion routing restricted to candidate paths ([epsilon]
-    defaults to 0.1; smaller = more accurate and slower).
-    @raise Invalid_argument if a demanded pair has no candidates. *)
-
 val on_slices :
   ?epsilon:float ->
   Sso_graph.Graph.t ->
-  Min_congestion.slice_candidates ->
+  Slice_candidates.t ->
   Sso_demand.Demand.t ->
   Routing.t * float
-(** {!on_paths} on a prebuilt slice index — same phase structure and
-    bit-identical output, walking the flat candidate arrays in place. *)
+(** Min-congestion routing restricted to candidate paths ([epsilon]
+    defaults to 0.1; smaller = more accurate and slower), walking the flat
+    candidate index in place.
+    @raise Invalid_argument if a demanded pair has no candidates. *)
 
 val unrestricted :
   ?epsilon:float ->

@@ -1,6 +1,5 @@
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
-module Arena = Sso_graph.Arena
 module Shortest = Sso_graph.Shortest
 module Maxflow = Sso_graph.Maxflow
 module Demand = Sso_demand.Demand
@@ -16,57 +15,33 @@ let mwu_iterations = Obs.counter "mwu.iterations"
 let mwu_oracle_calls = Obs.counter "mwu.oracle_calls"
 let mwu_sssp_batches = Obs.counter "mwu.sssp_batches"
 
-type candidates = ((int * int) * Path.t list) list
-
-(* Hashtable-backed index over the assoc-list candidates type: built once
-   per solve so per-round lookups are O(1) instead of O(pairs).  First
-   binding wins on duplicate pairs, matching [List.assoc_opt]. *)
-let index_candidates (cands : candidates) =
-  let tbl = Hashtbl.create ((2 * List.length cands) + 1) in
-  List.iter
-    (fun (pair, ps) -> if not (Hashtbl.mem tbl pair) then Hashtbl.add tbl pair ps)
-    cands;
-  tbl
-
-let candidates_for index s t =
-  match Hashtbl.find_opt index (s, t) with Some ps -> ps | None -> []
-
 (* ---------- Exact LP on a candidate path system ---------- *)
 
-let lp_on_paths g cands demand =
+let lp_on_slices g sc demand =
   if Demand.support_size demand = 0 then (Routing.make [], 0.0)
   else Obs.with_span span_lp @@ fun () -> begin
-    let index = index_candidates cands in
-    (* Variables: one absolute flow per (pair, candidate path), plus the
-       congestion bound z as the last variable. *)
     let entries =
       Demand.fold
         (fun s t amount acc ->
-          match candidates_for index s t with
-          | [] -> invalid_arg "Min_congestion.lp_on_paths: demanded pair has no candidates"
-          | ps -> ((s, t), amount, ps) :: acc)
+          let i = Slice_candidates.position sc (s, t) in
+          if i < 0 || Slice_candidates.is_empty_at sc i then
+            invalid_arg "Min_congestion.lp_on_slices: demanded pair has no candidates";
+          ((s, t), amount, Slice_candidates.range sc i) :: acc)
         demand []
     in
-    let num_paths =
-      List.fold_left (fun acc (_, _, ps) -> acc + List.length ps) 0 entries
-    in
-    let z = num_paths in
-    (* Assign variable indices. *)
+    (* Variables: one absolute flow per (pair, candidate), numbered pair by
+       pair in [entries] order and in generation order within a pair, plus
+       the congestion bound z as the last variable. *)
+    let next = ref 0 in
     let indexed =
-      let next = ref 0 in
       List.map
-        (fun (pair, amount, ps) ->
-          let vars =
-            List.map
-              (fun p ->
-                let v = !next in
-                incr next;
-                (v, p))
-              ps
-          in
+        (fun (pair, amount, (lo, hi)) ->
+          let vars = List.init (hi - lo) (fun k -> (!next + k, lo + k)) in
+          next := !next + (hi - lo);
           (pair, amount, vars))
         entries
     in
+    let z = !next in
     (* Demand satisfaction: sum of a pair's path flows = demand. *)
     let demand_rows =
       List.map
@@ -83,12 +58,10 @@ let lp_on_paths g cands demand =
     List.iter
       (fun (_, _, vars) ->
         List.iter
-          (fun (v, (p : Path.t)) ->
-            Array.iter
-              (fun e ->
+          (fun (v, c) ->
+            Slice_candidates.iter_edges sc c (fun e ->
                 let cur = try Hashtbl.find per_edge e with Not_found -> [] in
-                Hashtbl.replace per_edge e ((v, 1.0) :: cur))
-              p.Path.edges)
+                Hashtbl.replace per_edge e ((v, 1.0) :: cur)))
           vars)
       indexed;
     let capacity_rows =
@@ -104,21 +77,24 @@ let lp_on_paths g cands demand =
     in
     let problem =
       {
-        Simplex.num_vars = num_paths + 1;
+        Simplex.num_vars = z + 1;
         objective = [ (z, 1.0) ];
         constraints = demand_rows @ capacity_rows;
       }
     in
     match Simplex.solve problem with
     | Simplex.Infeasible | Simplex.Unbounded ->
-        failwith "Min_congestion.lp_on_paths: LP should always be feasible and bounded"
+        failwith "Min_congestion.lp_on_slices: LP should always be feasible and bounded"
     | Simplex.Optimal { objective; solution } ->
         let routing =
           Routing.make
             (List.map
                (fun (pair, _, vars) ->
                  (* Simplex solutions can carry -1e-15-scale noise. *)
-                 (pair, List.map (fun (v, p) -> (Float.max 0.0 solution.(v), p)) vars))
+                 ( pair,
+                   List.map
+                     (fun (v, c) -> (Float.max 0.0 solution.(v), Slice_candidates.path sc c))
+                     vars ))
                indexed)
         in
         (routing, Float.max 0.0 objective)
@@ -341,11 +317,6 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
    the candidate set is unpacked once per solve and every round's
    oracle/accumulation loops walk int arrays in place. *)
 
-type slice_candidates = Slice_candidates.t
-
-let slice_candidates_of_arena = Slice_candidates.of_arena
-let slice_candidates_of_list g (cands : candidates) = Slice_candidates.of_list g cands
-
 (* The MWU game of [mwu_generic], specialized to candidate slices: same
    dispatch structure, counters, trace events and float operation order,
    with best responses as candidate indices instead of boxed paths. *)
@@ -419,9 +390,8 @@ let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
                         else Slice_candidates.find sc positions.(i) p
                       in
                       if c >= 0 then begin
-                        let cc = Slice_candidates.canonical sc c in
-                        counts.(cc) <- counts.(cc) +. (w *. wf);
-                        present.(cc) <- true
+                        counts.(c) <- counts.(c) +. (w *. wf);
+                        present.(c) <- true
                       end
                       else
                         over :=
@@ -445,9 +415,8 @@ let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
                     dist)
             support_arr);
       let record c =
-        let cc = Slice_candidates.canonical sc c in
-        counts.(cc) <- counts.(cc) +. 1.0;
-        present.(cc) <- true
+        counts.(c) <- counts.(c) +. 1.0;
+        present.(c) <- true
       in
       let warr = Array.make m 0.0 in
       let round_weight e = warr.(e) in
@@ -510,25 +479,20 @@ let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
     end
   end
 
+(* The trace labels "on_paths"/"on_paths_warm" name the candidate-set
+   solver in recorded traces; they are kept so traces stay comparable
+   across versions. *)
 let mwu_on_slices ?pool ?iters g sc demand =
   match mwu_slices ?pool ?iters ~label:"on_paths" g sc demand with
   | Some result -> result
-  | None -> invalid_arg "Min_congestion.mwu_on_paths: demanded pair has no candidates"
+  | None -> invalid_arg "Min_congestion.mwu_on_slices: demanded pair has no candidates"
 
 let mwu_on_slices_warm ?pool ?iters ~warm ~warm_weight g sc demand =
   match
     mwu_slices ?pool ?iters ~warm:(warm, warm_weight) ~label:"on_paths_warm" g sc demand
   with
   | Some result -> result
-  | None -> invalid_arg "Min_congestion.mwu_on_paths_warm: demanded pair has no candidates"
-
-let mwu_on_paths ?pool ?iters g cands demand =
-  mwu_on_slices ?pool ?iters g (slice_candidates_of_list g cands) demand
-
-let mwu_on_paths_warm ?pool ?iters ~warm ~warm_weight g cands demand =
-  mwu_on_slices_warm ?pool ?iters ~warm ~warm_weight g
-    (slice_candidates_of_list g cands)
-    demand
+  | None -> invalid_arg "Min_congestion.mwu_on_slices_warm: demanded pair has no candidates"
 
 let unrestricted_oracle ?(batched = true) g =
   if batched then

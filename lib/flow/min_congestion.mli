@@ -5,7 +5,10 @@
     the candidate path system — and the offline optimum [opt_{G,ℝ}(d)] the
     competitive ratio compares against.
 
-    Two engines are provided and cross-validated in the test suite:
+    Candidate sets are {!Slice_candidates} indexes over a path system's
+    arena, built by [Path_system.to_slice_candidates] — the one input type
+    of every candidate solver here and in {!Concurrent_flow}.  Two engines are provided and cross-validated in
+    the test suite:
 
     - an exact LP (path formulation, dense simplex) for small instances;
     - a multiplicative-weights (no-regret game) solver whose path oracle is
@@ -13,62 +16,31 @@
       for the unrestricted optimum, and a hop-limited DP for the
       hop-constrained optimum used by the completion-time results. *)
 
-type candidates = ((int * int) * Sso_graph.Path.t list) list
-(** Candidate path sets per pair — a path system restricted to the pairs of
-    interest.  Every listed path must connect its pair. *)
-
-type slice_candidates = Slice_candidates.t
-(** Candidate sets as arena slices — the flat index the solvers walk in
-    place (see {!Slice_candidates}).  The path-list API below converts
-    through this representation, so both entry points run the same
-    engine. *)
-
-val slice_candidates_of_arena :
-  Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> slice_candidates
-(** Index per-pair slice ranges [(first, count)] of a shared arena. *)
-
-val slice_candidates_of_list :
-  Sso_graph.Graph.t -> candidates -> slice_candidates
-(** Index boxed candidate lists (appending them into a private arena). *)
-
-val mwu_on_slices :
-  ?pool:Sso_engine.Pool.t ->
-  ?iters:int ->
-  Sso_graph.Graph.t -> slice_candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** {!mwu_on_paths} on a prebuilt slice index — candidate systems already
-    stored in an arena solve without materializing any path list. *)
-
-val mwu_on_slices_warm :
-  ?pool:Sso_engine.Pool.t ->
-  ?iters:int ->
-  warm:Routing.t ->
-  warm_weight:int ->
-  Sso_graph.Graph.t -> slice_candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** {!mwu_on_paths_warm} on a prebuilt slice index. *)
-
-val lp_on_paths :
-  Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
+val lp_on_slices :
+  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
 (** Exact minimum congestion of fractionally routing [d] where each pair
     only uses its candidate paths.  Returns the optimal routing and its
     congestion.  @raise Invalid_argument if some demanded pair has no
     candidates.  Intended for instances with up to a few thousand
     (pair, path) variables. *)
 
-val mwu_on_paths :
+val mwu_on_slices :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
-  Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
-(** Approximate version of {!lp_on_paths} via multiplicative weights
-    ([iters] defaults to 300; error decays as [O(1/√iters)]).  Candidate
-    lookups go through a hashtable index built once per solve.  Results are
-    bit-identical for any [pool]. *)
+  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
+(** Approximate version of {!lp_on_slices} via multiplicative weights
+    ([iters] defaults to 300; error decays as [O(1/√iters)]).  The oracle
+    and load accumulation walk the flat candidate index in place; boxed
+    paths appear only in the returned routing.  Results are bit-identical
+    for any [pool].  @raise Invalid_argument if some demanded pair has no
+    candidates. *)
 
-val mwu_on_paths_warm :
+val mwu_on_slices_warm :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
   warm:Routing.t ->
   warm_weight:int ->
-  Sso_graph.Graph.t -> candidates -> Sso_demand.Demand.t -> Routing.t * float
+  Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
 (** Incremental re-optimization: seed the MWU with a previous routing
     counted as [warm_weight] already-played rounds, then run [iters] fresh
     rounds.  This is the traffic-engineering control loop — when the

@@ -8,24 +8,20 @@
    the boxed oracles scanned lists in), and [rank] additionally stores, per
    pair, the candidate order ascending by [Path.compare] — the order the
    boxed solvers' [Path_map] imposed on outputs — so results stay
-   bit-identical to the list-based implementation this replaces. *)
+   bit-identical to the list-based implementation this replaces.
+
+   Candidates are distinct within a pair: every index comes from a
+   [Path_system], whose validation rejects duplicate paths. *)
 
 module Path = Sso_graph.Path
 module Arena = Sso_graph.Arena
-module Path_map = Map.Make (Path)
 
 type t = {
   arena : Arena.t;
   pos : (int * int, int) Hashtbl.t;  (* pair -> pair position (first wins) *)
   cand_off : int array;  (* pair position -> candidate range, npairs + 1 *)
   slice_ids : int array;  (* candidate -> arena slice handle *)
-  canon : int array;
-      (* candidate -> canonical candidate: duplicate paths inside one
-         pair's list collapse onto their first occurrence, the way a
-         [Path_map] keyed by path merged them. *)
-  rank : int array;
-      (* per pair range: candidates ascending by path order (ties — i.e.
-         duplicates — broken by position, so the canonical copy leads) *)
+  rank : int array;  (* per pair range: candidates ascending by path order *)
   edge_off : int array;  (* candidate -> edge range, ncands + 1 *)
   flat : int array;  (* concatenated edge ids, path order *)
 }
@@ -69,46 +65,20 @@ let of_arena arena ranges =
   done;
   let edge_off, flat = Arena.unpack arena slice_ids in
   let rank = Array.init ncands Fun.id in
-  let cmp c1 c2 =
-    match compare_cands edge_off flat c1 c2 with
-    | 0 -> Int.compare c1 c2
-    | c -> c
-  in
+  let cmp = compare_cands edge_off flat in
   for i = 0 to npairs - 1 do
     let lo = cand_off.(i) and hi = cand_off.(i + 1) in
     let seg = Array.sub rank lo (hi - lo) in
     Array.sort cmp seg;
     Array.blit seg 0 rank lo (hi - lo)
   done;
-  let canon = Array.init ncands Fun.id in
-  for i = 0 to npairs - 1 do
-    for k = cand_off.(i) + 1 to cand_off.(i + 1) - 1 do
-      let prev = rank.(k - 1) and cur = rank.(k) in
-      if compare_cands edge_off flat prev cur = 0 then canon.(cur) <- canon.(prev)
-    done
-  done;
-  { arena; pos; cand_off; slice_ids; canon; rank; edge_off; flat }
-
-let of_list g cands =
-  let arena = Arena.create ~capacity:(4 * max 1 (List.length cands)) g in
-  let seen = Hashtbl.create ((2 * List.length cands) + 1) in
-  let ranges =
-    List.filter_map
-      (fun (pair, paths) ->
-        if Hashtbl.mem seen pair then None
-        else begin
-          Hashtbl.add seen pair ();
-          let first = Arena.length arena in
-          List.iter (fun (p : Path.t) -> ignore (Arena.append_path arena p)) paths;
-          Some (pair, (first, Arena.length arena - first))
-        end)
-      cands
-  in
-  of_arena arena ranges
+  { arena; pos; cand_off; slice_ids; rank; edge_off; flat }
 
 let position sc pair = match Hashtbl.find_opt sc.pos pair with Some i -> i | None -> -1
 let ncands sc = sc.cand_off.(Array.length sc.cand_off - 1)
 let is_empty_at sc i = sc.cand_off.(i) >= sc.cand_off.(i + 1)
+let range sc i = (sc.cand_off.(i), sc.cand_off.(i + 1))
+let path sc c = Arena.to_path sc.arena sc.slice_ids.(c)
 
 (* Cheapest candidate of pair position [i] under [weight]: the same strict
    [<] left fold the boxed oracle ran over the candidate list, on the flat
@@ -134,8 +104,6 @@ let cheapest sc ~weight i =
     done;
     !best
   end
-
-let canonical sc c = sc.canon.(c)
 
 let iter_edges sc c f =
   for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
@@ -175,8 +143,7 @@ let pair_distribution sc ~counts ~present ~overflow i =
   let ascending = ref [] in
   for k = hi - 1 downto lo do
     let c = sc.rank.(k) in
-    if sc.canon.(c) = c && present.(c) then
-      ascending := (Arena.to_path sc.arena sc.slice_ids.(c), counts.(c)) :: !ascending
+    if present.(c) then ascending := (path sc c, counts.(c)) :: !ascending
   done;
   let merged =
     match overflow with

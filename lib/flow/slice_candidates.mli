@@ -7,18 +7,19 @@
     generation order the index stores, per pair, the candidate permutation
     ascending by {!Sso_graph.Path.compare} — the order the boxed solvers'
     [Path_map] imposed on outputs — so slice-based solves produce
-    bit-identical routings to the list-based implementation they replace. *)
+    bit-identical routings to the list-based implementation they replace.
+
+    Candidates must be distinct within a pair.  Indexes are built by
+    [Path_system.to_slice_candidates], and path-system validation rejects
+    duplicate paths, so every candidate is its own representative. *)
 
 type t
 
 val of_arena : Sso_graph.Arena.t -> ((int * int) * (int * int)) list -> t
 (** [of_arena arena ranges] indexes, per pair, the [count] consecutive
     arena slices starting at [first] (ranges as [(pair, (first, count))];
-    the first binding of a duplicated pair wins). *)
-
-val of_list : Sso_graph.Graph.t -> ((int * int) * Sso_graph.Path.t list) list -> t
-(** Index boxed candidate lists by appending them into a private arena
-    (validating each path against [g]). *)
+    the first binding of a duplicated pair wins).  The slices of one pair
+    must hold distinct paths. *)
 
 val position : t -> int * int -> int
 (** Pair position of a pair, [-1] when the pair is not in the index. *)
@@ -29,17 +30,18 @@ val ncands : t -> int
 val is_empty_at : t -> int -> bool
 (** Does pair position [i] have an empty candidate set? *)
 
+val range : t -> int -> int * int
+(** [(lo, hi)]: the candidates of pair position [i] are [lo .. hi - 1], in
+    generation order. *)
+
+val path : t -> int -> Sso_graph.Path.t
+(** The boxed path of a candidate, read from the arena. *)
+
 val cheapest : t -> weight:(int -> float) -> int -> int
 (** Cheapest candidate of pair position [i] under [weight] — the same
     strict [<] left fold over candidates in generation order (ties keep the
     first) and the same per-path left-to-right weight sum as the boxed
     oracle.  [-1] when the pair has no candidates. *)
-
-val canonical : t -> int -> int
-(** Canonical representative of a candidate: duplicate paths inside one
-    pair's list collapse onto their first occurrence, the way a [Path_map]
-    keyed by path merged them.  Accumulate per-candidate statistics at the
-    canonical index. *)
 
 val iter_edges : t -> int -> (int -> unit) -> unit
 (** Edge ids of a candidate, in path order. *)
@@ -59,7 +61,7 @@ val pair_distribution :
   (float * Sso_graph.Path.t) list
 (** The averaged distribution of pair position [i] in descending path
     order (the order [Path_map.fold (fun p c acc -> (c, p) :: acc)]
-    produced): canonical candidates with [present], weighted by [counts],
+    produced): the candidates with [present], weighted by [counts],
     merged with the ascending [overflow] list (warm-start paths outside
     the candidate set).  Boxed paths are materialized here and only
     here. *)

@@ -635,20 +635,7 @@ let restore ?(config = default_config) graph system state =
 let write_metrics ~path =
   Obs.sample_gc_gauges ();
   let body = Obs.expose (Obs.snapshot ()) in
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Never leave a stale .tmp beside the target: if the write or the
-         rename failed, the temporary goes with it. *)
-      if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin tmp in
-      (try output_string oc body
-       with e ->
-         close_out_noerr oc;
-         raise e);
-      close_out oc;
-      Sys.rename tmp path)
+  Sso_obs.Atomic_file.write path (fun oc -> output_string oc body)
 
 (* ---------- SLO ---------- *)
 

@@ -4,7 +4,7 @@
 
 module Rng = Sso_prng.Rng
 module Pool = Sso_engine.Pool
-module Metrics = Sso_engine.Metrics
+module Obs = Sso_obs.Obs
 module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
 module Gen = Sso_graph.Gen
@@ -43,7 +43,7 @@ let with_store f =
       try Unix.rmdir dir with _ -> ())
     (fun () -> f st)
 
-let cval name = Metrics.counter_value (Metrics.counter ("artifact." ^ name))
+let cval name = Obs.counter_value (Obs.counter ("artifact." ^ name))
 
 let raises_corrupt f =
   match f () with
@@ -162,6 +162,13 @@ let prop_path_roundtrip =
       | Some p ->
           path_equal p (Codec.decode_path g (Codec.encode_path p)))
 
+(* Encode candidate sets the way the store does: from a path system's
+   arena. *)
+let encode_entries g entries =
+  let ps = Path_system.of_pairs g entries in
+  Codec.encode_path_system_slices (Path_system.arena ps)
+    (List.map (fun ((s, t), _) -> ((s, t), Path_system.slice_range ps s t)) entries)
+
 let prop_path_system_roundtrip =
   QCheck.Test.make ~name:"path-system codec round-trips candidate sets"
     ~count:25 QCheck.small_int
@@ -175,7 +182,7 @@ let prop_path_system_roundtrip =
         List.map (fun (s, t) -> ((s, t), Path_system.paths system s t)) pairs
       in
       let entries' =
-        Codec.decode_path_system g (Codec.encode_path_system g entries)
+        Codec.decode_path_system g (encode_entries g entries)
       in
       List.for_all2
         (fun (pair, ps) (pair', ps') ->
@@ -280,17 +287,12 @@ let entries_equal ea eb =
          && List.for_all2 path_equal ps ps')
        ea eb
 
-let test_path_system_v1_readable () =
-  (* The writer now emits v2 (CSR-slot bodies); payloads laid down by the
-     v1 format — edge-id varints per hop — must keep decoding. *)
-  let g, entries = sample_system_entries 3 in
-  let canonical =
-    List.sort (fun ((a : int * int), _) (b, _) -> compare a b) entries
-  in
+(* The retired v1 layout: edge-id varints per hop. *)
+let v1_payload entries =
   let w = Codec.writer () in
   Codec.write_u8 w 0x50 (* tag 'P' *);
   Codec.write_u8 w 1 (* version 1 *);
-  Codec.write_varint w (List.length canonical);
+  Codec.write_varint w (List.length entries);
   List.iter
     (fun ((s, t), paths) ->
       Codec.write_varint w s;
@@ -301,9 +303,51 @@ let test_path_system_v1_readable () =
           Codec.write_varint w (Array.length p.Path.edges);
           Array.iter (Codec.write_varint w) p.Path.edges)
         paths)
-    canonical;
-  let entries' = Codec.decode_path_system g (Codec.contents w) in
-  Alcotest.(check bool) "v1 payload decodes" true (entries_equal canonical entries')
+    (List.sort (fun ((a : int * int), _) (b, _) -> compare a b) entries);
+  Codec.contents w
+
+let test_path_system_v1_rejected () =
+  (* v1 payloads no longer decode: they raise [Corrupt], so a v1 entry in
+     the store is damage — the memo rebuilds the sample, returns the same
+     paths as a cold run, and rewrites the entry in the current layout. *)
+  let g, entries = sample_system_entries 3 in
+  Alcotest.(check bool) "v1 payload is corrupt" true
+    (raises_corrupt (fun () -> Codec.decode_path_system g (v1_payload entries)));
+  with_store @@ fun st ->
+  let base = Ksp.routing ~k:4 g in
+  let pairs = [ (0, 15); (1, 14) ] in
+  let sample () =
+    Memo.alpha_sample ~store:st ~base_key:"ksp4" (Rng.create 7) base ~alpha:3 ~pairs
+  in
+  let cold = sample () in
+  let recipe =
+    let hex = Codec.hex_of_key in
+    Store.recipe ~kind:"alpha-sample"
+      [
+        ("graph", hex (Codec.graph_digest g));
+        ("base", "ksp4");
+        ("oblivious", Oblivious.name base);
+        ("alpha", "3");
+        ("rng", hex (Rng.fingerprint (Rng.create 7)));
+        ("pairs", hex (Codec.pairs_digest pairs));
+      ]
+  in
+  Alcotest.(check bool) "memo entry found" true (Store.find st recipe <> None);
+  Store.put st recipe
+    (v1_payload (List.map (fun (s, t) -> ((s, t), Path_system.paths cold s t)) pairs));
+  let c0 = cval "corrupt" in
+  let warm = sample () in
+  Alcotest.(check int) "v1 entry counted as damage" (c0 + 1) (cval "corrupt");
+  List.iter
+    (fun (s, t) ->
+      Alcotest.(check bool) "rebuilt paths identical" true
+        (List.for_all2 path_equal (Path_system.paths cold s t) (Path_system.paths warm s t)))
+    pairs;
+  match Store.find st recipe with
+  | None -> Alcotest.fail "entry not rewritten"
+  | Some payload ->
+      Alcotest.(check int) "rewritten entry decodes" (List.length pairs)
+        (List.length (Codec.decode_path_system g payload))
 
 let test_path_system_corrupt_contract () =
   (* Damaging any single byte of a v2 payload either still decodes — the
@@ -311,7 +355,7 @@ let test_path_system_corrupt_contract () =
      [Corrupt]; no other exception may escape, and structural damage must
      be caught. *)
   let g, entries = sample_system_entries 4 in
-  let encoded = Codec.encode_path_system g entries in
+  let encoded = encode_entries g entries in
   let flipped_ok = ref true in
   for i = 0 to String.length encoded - 1 do
     let b = Bytes.of_string encoded in
@@ -335,12 +379,12 @@ let test_path_system_corrupt_contract () =
     (raises_corrupt (fun () ->
          Codec.decode_path_system g (Bytes.to_string future)))
 
-let test_v2_roundtrip_matches_v1_semantics () =
+let test_v2_roundtrip () =
   let g, entries = sample_system_entries 5 in
   let canonical =
     List.sort (fun ((a : int * int), _) (b, _) -> compare a b) entries
   in
-  let entries' = Codec.decode_path_system g (Codec.encode_path_system g entries) in
+  let entries' = Codec.decode_path_system g (encode_entries g entries) in
   Alcotest.(check bool) "round-trip" true (entries_equal canonical entries')
 
 let test_arena_codec_roundtrip () =
@@ -384,6 +428,16 @@ let test_pairs_digest_canonical () =
 
 (* ---- store ---- *)
 
+(* [Store.put] stages each entry as "<key>.art.tmp.<pid>". *)
+let no_tmp_files st =
+  let is_tmp name =
+    let pat = ".tmp." in
+    let n = String.length name and k = String.length pat in
+    let rec go i = i + k <= n && (String.sub name i k = pat || go (i + 1)) in
+    go 0
+  in
+  Array.for_all (fun name -> not (is_tmp name)) (Sys.readdir (Store.dir st))
+
 let test_store_put_find () =
   with_store @@ fun st ->
   let recipe = Store.recipe ~kind:"test" [ ("x", "1"); ("y", "abc") ] in
@@ -396,14 +450,7 @@ let test_store_put_find () =
   Alcotest.(check int) "one miss" (m0 + 1) (cval "miss");
   Alcotest.(check int) "bytes written" (w0 + String.length "payload-bytes")
     (cval "bytes_written");
-  let is_tmp name =
-    let pat = ".tmp." in
-    let n = String.length name and k = String.length pat in
-    let rec go i = i + k <= n && (String.sub name i k = pat || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "no temp files left" true
-    (Array.for_all (fun name -> not (is_tmp name)) (Sys.readdir (Store.dir st)));
+  Alcotest.(check bool) "no temp files left" true (no_tmp_files st);
   let listing = Store.scan st in
   Alcotest.(check int) "one entry" 1 (List.length listing.Store.entries);
   Alcotest.(check (list string)) "no corruption" [] listing.Store.corrupt;
@@ -491,6 +538,19 @@ let test_store_unreadable_dir () =
         (match Store.open_ ~dir:file () with
         | _ -> false
         | exception Store.Unreadable _ -> true))
+
+let test_store_put_failure_leaves_no_tmp () =
+  (* Make the rename fail (the entry path is a directory): [put] must
+     raise [Unreadable] and leave no temporary in the store. *)
+  with_store @@ fun st ->
+  let recipe = Store.recipe ~kind:"blocked" [ ("n", "1") ] in
+  let path = entry_path st recipe in
+  Unix.mkdir path 0o700;
+  Fun.protect ~finally:(fun () -> Unix.rmdir path) @@ fun () ->
+  (match Store.put st recipe "payload" with
+  | () -> Alcotest.fail "rename onto a directory succeeded"
+  | exception Store.Unreadable _ -> ());
+  Alcotest.(check bool) "no stale .tmp after failure" true (no_tmp_files st)
 
 let test_default_dir_env_override () =
   let saved = Sys.getenv_opt "SSO_CACHE_DIR" in
@@ -651,12 +711,12 @@ let () =
           Alcotest.test_case "routing roundtrip" `Quick test_routing_roundtrip;
           Alcotest.test_case "forest roundtrip" `Quick test_forest_roundtrip;
           Alcotest.test_case "damage detection" `Quick test_codec_rejects_damage;
-          Alcotest.test_case "v1 path systems readable" `Quick
-            test_path_system_v1_readable;
+          Alcotest.test_case "v1 path systems rejected" `Quick
+            test_path_system_v1_rejected;
           Alcotest.test_case "v2 corrupt-byte contract" `Quick
             test_path_system_corrupt_contract;
           Alcotest.test_case "v2 round-trip" `Quick
-            test_v2_roundtrip_matches_v1_semantics;
+            test_v2_roundtrip;
           Alcotest.test_case "arena round-trip" `Quick test_arena_codec_roundtrip;
           Alcotest.test_case "pairs digest" `Quick test_pairs_digest_canonical;
         ] );
@@ -669,6 +729,8 @@ let () =
           Alcotest.test_case "flipped byte" `Quick test_store_flipped_byte_is_miss;
           Alcotest.test_case "scan/gc/clear" `Quick test_store_scan_gc_clear;
           Alcotest.test_case "unreadable dir" `Quick test_store_unreadable_dir;
+          Alcotest.test_case "put failure leaves no tmp" `Quick
+            test_store_put_failure_leaves_no_tmp;
           Alcotest.test_case "SSO_CACHE_DIR" `Quick test_default_dir_env_override;
         ] );
       ( "memo",

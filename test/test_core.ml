@@ -947,6 +947,38 @@ let test_attack_in_family_unknown_alpha () =
 
 module Robustness = Sso_core.Robustness
 
+(* Golden pins for the Stage-4 entry points that rebuild from a path
+   system: the congestion bits and the encoded-routing digest of an exact
+   [route ~solver:Lp] and of a warm [resolve] after an edge failure. *)
+
+let stage4_pin (routing, cong) =
+  ( Int64.bits_of_float cong,
+    Sso_artifact.Codec.fnv1a64 (Sso_artifact.Codec.encode_routing routing) )
+
+let valiant_instance ~dim ~alpha seed =
+  let g = Gen.hypercube dim in
+  let rng = Rng.create seed in
+  let ps = Sampler.alpha_sample rng (Valiant.routing g) ~alpha in
+  (g, ps, Demand.random_permutation rng (Graph.n g))
+
+let test_stage4_golden_pins () =
+  let g, ps, d = valiant_instance ~dim:3 ~alpha:3 61 in
+  let lp = Semi_oblivious.route ~solver:Semi_oblivious.Lp g ps d in
+  let g, ps, d = valiant_instance ~dim:4 ~alpha:3 62 in
+  let pre, _ = Semi_oblivious.route ~solver:(Semi_oblivious.Mwu 100) g ps d in
+  (* Fail an edge the pre-failure routing uses, so some warm mass dies. *)
+  let s, t = List.hd (Routing.pairs pre) in
+  let failed = (snd (List.hd (Routing.distribution pre s t))).Path.edges.(0) in
+  let survivors = Path_system.without_edge failed ps in
+  let warm =
+    Semi_oblivious.resolve ~solver:(Semi_oblivious.Mwu 40) ~warm_start:(pre, 60) g survivors d
+  in
+  let check name expected got =
+    Alcotest.(check (pair int64 int64)) name expected (stage4_pin got)
+  in
+  check "route lp" (4609884578576439705L, 4348635386307478459L) lp;
+  check "resolve warm" (4612199428784908141L, -2477378245833698832L) warm
+
 let test_without_edge_filters () =
   let g = Gen.multi_path [ 2; 2 ] in
   let a = Path.of_vertices g [ 0; 2; 1 ] in
@@ -1348,6 +1380,7 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "without edge" `Quick test_without_edge_filters;
+          Alcotest.test_case "stage-4 golden pins" `Quick test_stage4_golden_pins;
           Alcotest.test_case "filter by hops" `Quick test_filter_paths_by_hops;
           Alcotest.test_case "redundancy survives" `Quick
             test_robustness_redundant_candidates_survive;

@@ -11,6 +11,7 @@ module Routing = Sso_flow.Routing
 module Min_congestion = Sso_flow.Min_congestion
 module Rounding = Sso_flow.Rounding
 module Concurrent_flow = Sso_flow.Concurrent_flow
+module Path_system = Sso_core.Path_system
 
 let square () =
   (* 0-1-3 and 0-2-3: two disjoint two-hop routes. *)
@@ -23,6 +24,11 @@ let square () =
 
 let square_paths g =
   [ Path.of_vertices g [ 0; 1; 3 ]; Path.of_vertices g [ 0; 2; 3 ] ]
+
+(* Hand-made candidate sets go through a path system, the one way to build
+   a Stage-4 candidate index. *)
+let candidates g cands =
+  Path_system.to_slice_candidates (Path_system.of_pairs g cands) (List.map fst cands)
 
 (* Routing basics *)
 
@@ -129,91 +135,120 @@ let test_sample_path () =
 
 (* LP on paths *)
 
-let test_lp_on_paths_splits () =
+let test_lp_splits () =
   let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
+  let cands = candidates g [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let routing, cong = Min_congestion.lp_on_paths g cands d in
+  let routing, cong = Min_congestion.lp_on_slices g cands d in
   Alcotest.(check (float 1e-6)) "perfect split" 1.0 cong;
   Alcotest.(check (float 1e-6)) "consistent" 1.0 (Routing.congestion g routing d)
 
-let test_lp_on_paths_single_candidate () =
+let test_lp_single_candidate () =
   let g = square () in
-  let cands = [ ((0, 3), [ List.hd (square_paths g) ]) ] in
+  let cands = candidates g [ ((0, 3), [ List.hd (square_paths g) ]) ] in
   let d = Demand.single_pair 0 3 3.0 in
-  let _, cong = Min_congestion.lp_on_paths g cands d in
+  let _, cong = Min_congestion.lp_on_slices g cands d in
   Alcotest.(check (float 1e-6)) "forced congestion" 3.0 cong
 
-let test_lp_on_paths_competing_pairs () =
+let test_lp_competing_pairs () =
   (* Path graph 0-1-2: pairs (0,1) and (0,2) both must use edge 0. *)
   let g = Gen.path_graph 3 in
   let p01 = Path.of_vertices g [ 0; 1 ] in
   let p02 = Path.of_vertices g [ 0; 1; 2 ] in
-  let cands = [ ((0, 1), [ p01 ]); ((0, 2), [ p02 ]) ] in
+  let cands = candidates g [ ((0, 1), [ p01 ]); ((0, 2), [ p02 ]) ] in
   let d = Demand.of_list [ (0, 1, 1.0); (0, 2, 1.0) ] in
-  let _, cong = Min_congestion.lp_on_paths g cands d in
+  let _, cong = Min_congestion.lp_on_slices g cands d in
   Alcotest.(check (float 1e-6)) "shared edge" 2.0 cong
 
 let test_lp_missing_candidates () =
   let g = square () in
   Alcotest.check_raises "no candidates"
-    (Invalid_argument "Min_congestion.lp_on_paths: demanded pair has no candidates")
+    (Invalid_argument "Min_congestion.lp_on_slices: demanded pair has no candidates")
     (fun () ->
-      ignore (Min_congestion.lp_on_paths g [] (Demand.single_pair 0 3 1.0)))
+      ignore (Min_congestion.lp_on_slices g (candidates g []) (Demand.single_pair 0 3 1.0)))
 
 let test_lp_empty_demand () =
   let g = square () in
-  let _, cong = Min_congestion.lp_on_paths g [] Demand.empty in
+  let _, cong = Min_congestion.lp_on_slices g (candidates g []) Demand.empty in
   Alcotest.(check (float 1e-9)) "empty" 0.0 cong
 
 (* MWU vs LP cross-validation *)
 
-let random_candidates rng g k demand =
-  List.map
-    (fun (s, t) ->
-      let paths = Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k s t in
-      ignore rng;
-      ((s, t), paths))
-    (Demand.support demand)
+(* The k hop-shortest paths (Yen) of every demanded pair. *)
+let yen_candidates g k demand =
+  candidates g
+    (List.map
+       (fun (s, t) -> ((s, t), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k s t))
+       (Demand.support demand))
 
-let test_slice_engine_matches_list_engine () =
-  (* The list API is a thin wrapper over the slice engine; running both
-     on the same candidate sets must produce bit-identical routings and
-     congestion, for MWU and for GK. *)
-  let rng = Rng.create 23 in
-  for trial = 1 to 3 do
-    let g = Gen.erdos_renyi rng 14 0.3 in
-    let d = Demand.random_pairs rng ~n:14 ~pairs:6 in
-    let cands = random_candidates rng g 3 d in
-    let sc = Min_congestion.slice_candidates_of_list g cands in
-    let r_list, c_list = Min_congestion.mwu_on_paths ~iters:150 g cands d in
-    let r_slice, c_slice = Min_congestion.mwu_on_slices ~iters:150 g sc d in
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: mwu congestion bit-identical" trial)
-      true
-      (Int64.bits_of_float c_list = Int64.bits_of_float c_slice);
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: mwu routings identical" trial)
-      true (r_list = r_slice);
-    let gr_list, gc_list = Concurrent_flow.on_paths ~epsilon:0.2 g cands d in
-    let gr_slice, gc_slice = Concurrent_flow.on_slices ~epsilon:0.2 g sc d in
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: gk congestion bit-identical" trial)
-      true
-      (Int64.bits_of_float gc_list = Int64.bits_of_float gc_slice);
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: gk routings identical" trial)
-      true (gr_list = gr_slice)
-  done
+(* Golden pins: the congestion bits and the encoded-routing digest of the
+   exact LP on fixed instances.  They pin the simplex input order — pairs,
+   candidates, per-edge rows — so any change to how the LP is assembled
+   shows up here. *)
+
+let pin (routing, cong) =
+  ( Int64.bits_of_float cong,
+    Sso_artifact.Codec.fnv1a64 (Sso_artifact.Codec.encode_routing routing) )
+
+let check_pin name expected got =
+  Alcotest.(check (pair int64 int64)) name expected (pin got)
+
+let lp_pin_instances () =
+  let g = square () in
+  let path3 = Gen.path_graph 3 in
+  let grid = Gen.grid 3 3 in
+  let rng = Rng.create 21 in
+  let random () =
+    let g = Gen.erdos_renyi rng 12 0.35 in
+    let d = Demand.random_pairs rng ~n:12 ~pairs:5 in
+    (g, yen_candidates g 4 d, d)
+  in
+  let r1 = random () in
+  let r2 = random () in
+  let grid_demand = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.5) ] in
+  [
+    ("splits", (g, candidates g [ ((0, 3), square_paths g) ], Demand.single_pair 0 3 2.0));
+    ( "single candidate",
+      ( g,
+        candidates g [ ((0, 3), [ List.hd (square_paths g) ]) ],
+        Demand.single_pair 0 3 3.0 ) );
+    ( "competing pairs",
+      ( path3,
+        candidates path3
+          [
+            ((0, 1), [ Path.of_vertices path3 [ 0; 1 ] ]);
+            ((0, 2), [ Path.of_vertices path3 [ 0; 1; 2 ] ]);
+          ],
+        Demand.of_list [ (0, 1, 1.0); (0, 2, 1.0) ] ) );
+    ("grid yen", (grid, yen_candidates grid 3 grid_demand, grid_demand));
+    ("random yen 1", r1);
+    ("random yen 2", r2);
+  ]
+
+let lp_golden =
+  [
+    ("splits", (4607182418800017408L, -7659776275013784408L));
+    ("single candidate", (4613937818241073152L, -3729218785477701883L));
+    ("competing pairs", (4611686018427387904L, -4397634675861199159L));
+    ("grid yen", (4610184818551597739L, 6302305936111912931L));
+    ("random yen 1", (4604180019048437077L, 435140694161804154L));
+    ("random yen 2", (4605681218924227243L, 58269219597668869L));
+  ]
+
+let test_lp_golden_pins () =
+  List.iter
+    (fun (name, (g, cands, d)) ->
+      check_pin name (List.assoc name lp_golden) (Min_congestion.lp_on_slices g cands d))
+    (lp_pin_instances ())
 
 let test_mwu_matches_lp () =
   let rng = Rng.create 21 in
   for trial = 1 to 5 do
     let g = Gen.erdos_renyi rng 12 0.35 in
     let d = Demand.random_pairs rng ~n:12 ~pairs:5 in
-    let cands = random_candidates rng g 4 d in
-    let _, lp = Min_congestion.lp_on_paths g cands d in
-    let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
+    let cands = yen_candidates g 4 d in
+    let _, lp = Min_congestion.lp_on_slices g cands d in
+    let _, mwu = Min_congestion.mwu_on_slices ~iters:800 g cands d in
     Alcotest.(check bool)
       (Printf.sprintf "trial %d: mwu within 15%% of lp (lp=%.3f mwu=%.3f)" trial lp mwu)
       true
@@ -222,9 +257,9 @@ let test_mwu_matches_lp () =
 
 let test_mwu_on_square () =
   let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
+  let cands = candidates g [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let _, cong = Min_congestion.mwu_on_paths ~iters:500 g cands d in
+  let _, cong = Min_congestion.mwu_on_slices ~iters:500 g cands d in
   Alcotest.(check bool) "near 1.0" true (cong < 1.1)
 
 let test_mwu_unrestricted_square () =
@@ -336,10 +371,10 @@ let test_lower_bound_volume_on_long_path () =
 
 let test_gk_epsilon_tradeoff () =
   let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
+  let cands = candidates g [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let _, coarse = Concurrent_flow.on_paths ~epsilon:0.5 g cands d in
-  let _, fine = Concurrent_flow.on_paths ~epsilon:0.02 g cands d in
+  let _, coarse = Concurrent_flow.on_slices ~epsilon:0.5 g cands d in
+  let _, fine = Concurrent_flow.on_slices ~epsilon:0.02 g cands d in
   Alcotest.(check bool)
     (Printf.sprintf "both near optimum (%.3f, %.3f)" coarse fine)
     true
@@ -351,8 +386,8 @@ let test_gk_rejects_bad_epsilon () =
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (Concurrent_flow.on_paths ~epsilon:1.5 g
-            [ ((0, 3), square_paths g) ]
+         (Concurrent_flow.on_slices ~epsilon:1.5 g
+            (candidates g [ ((0, 3), square_paths g) ])
             (Demand.single_pair 0 3 1.0));
        false
      with Invalid_argument _ -> true)
@@ -363,11 +398,11 @@ let test_warm_start_preserves_good_solution () =
   (* Seed with the exact optimum at high weight + few fresh rounds: the
      result must stay near-optimal. *)
   let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
+  let cands = candidates g [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let optimal, lp = Min_congestion.lp_on_paths g cands d in
+  let optimal, lp = Min_congestion.lp_on_slices g cands d in
   let _, warm =
-    Min_congestion.mwu_on_paths_warm ~iters:5 ~warm:optimal ~warm_weight:100 g cands d
+    Min_congestion.mwu_on_slices_warm ~iters:5 ~warm:optimal ~warm_weight:100 g cands d
   in
   Alcotest.(check bool)
     (Printf.sprintf "stays near optimum (lp %.3f warm %.3f)" lp warm)
@@ -383,10 +418,10 @@ let test_warm_start_recovers_from_bad_seed () =
   in
   ignore lower;
   let bad = Routing.singleton_paths [ ((0, 3), upper) ] in
-  let cands = [ ((0, 3), square_paths g) ] in
+  let cands = candidates g [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
   let _, recovered =
-    Min_congestion.mwu_on_paths_warm ~iters:600 ~warm:bad ~warm_weight:1 g cands d
+    Min_congestion.mwu_on_slices_warm ~iters:600 ~warm:bad ~warm_weight:1 g cands d
   in
   Alcotest.(check bool) (Printf.sprintf "recovered %.3f" recovered) true (recovered <= 1.15)
 
@@ -394,26 +429,23 @@ let test_warm_start_handles_new_pairs () =
   (* The new demand has a pair the warm routing never saw. *)
   let g = Gen.grid 3 3 in
   let d_old = Demand.single_pair 0 8 1.0 in
-  let cands_old = [ ((0, 8), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 0 8) ] in
-  let warm, _ = Min_congestion.lp_on_paths g cands_old d_old in
+  let warm, _ = Min_congestion.lp_on_slices g (yen_candidates g 3 d_old) d_old in
   let d_new = Demand.of_list [ (0, 8, 1.0); (2, 6, 1.0) ] in
-  let cands_new =
-    cands_old @ [ ((2, 6), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 2 6) ]
-  in
+  let cands_new = yen_candidates g 3 d_new in
   let routing, cong =
-    Min_congestion.mwu_on_paths_warm ~iters:200 ~warm ~warm_weight:50 g cands_new d_new
+    Min_congestion.mwu_on_slices_warm ~iters:200 ~warm ~warm_weight:50 g cands_new d_new
   in
   Alcotest.(check bool) "covers the new pair" true (Routing.covers routing d_new);
   Alcotest.(check bool) "finite congestion" true (Float.is_finite cong && cong > 0.0)
 
 let test_warm_start_rejects_bad_weight () =
   let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
+  let cands = candidates g [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 1.0 in
-  let warm, _ = Min_congestion.lp_on_paths g cands d in
+  let warm, _ = Min_congestion.lp_on_slices g cands d in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Min_congestion.mwu_on_paths_warm ~iters:10 ~warm ~warm_weight:0 g cands d);
+       ignore (Min_congestion.mwu_on_slices_warm ~iters:10 ~warm ~warm_weight:0 g cands d);
        false
      with Invalid_argument _ -> true)
 
@@ -421,9 +453,9 @@ let test_warm_start_rejects_bad_weight () =
 
 let test_gk_splits_square () =
   let g = square () in
-  let cands = [ ((0, 3), square_paths g) ] in
+  let cands = candidates g [ ((0, 3), square_paths g) ] in
   let d = Demand.single_pair 0 3 2.0 in
-  let _, cong = Concurrent_flow.on_paths ~epsilon:0.05 g cands d in
+  let _, cong = Concurrent_flow.on_slices ~epsilon:0.05 g cands d in
   Alcotest.(check bool) (Printf.sprintf "near 1.0 (got %.3f)" cong) true (cong <= 1.1)
 
 let test_gk_matches_lp () =
@@ -431,9 +463,9 @@ let test_gk_matches_lp () =
   for trial = 1 to 4 do
     let g = Gen.erdos_renyi rng 12 0.35 in
     let d = Demand.random_pairs rng ~n:12 ~pairs:5 in
-    let cands = random_candidates rng g 4 d in
-    let _, lp = Min_congestion.lp_on_paths g cands d in
-    let _, gk = Concurrent_flow.on_paths ~epsilon:0.05 g cands d in
+    let cands = yen_candidates g 4 d in
+    let _, lp = Min_congestion.lp_on_slices g cands d in
+    let _, gk = Concurrent_flow.on_slices ~epsilon:0.05 g cands d in
     Alcotest.(check bool)
       (Printf.sprintf "trial %d: gk within 15%% of lp (lp=%.3f gk=%.3f)" trial lp gk)
       true
@@ -455,10 +487,10 @@ let test_gk_three_engines_agree () =
   let rng = Rng.create 73 in
   let g = Gen.grid 4 4 in
   let d = Demand.random_pairs rng ~n:16 ~pairs:6 in
-  let cands = random_candidates rng g 4 d in
-  let _, lp = Min_congestion.lp_on_paths g cands d in
-  let _, mwu = Min_congestion.mwu_on_paths ~iters:800 g cands d in
-  let _, gk = Concurrent_flow.on_paths ~epsilon:0.05 g cands d in
+  let cands = yen_candidates g 4 d in
+  let _, lp = Min_congestion.lp_on_slices g cands d in
+  let _, mwu = Min_congestion.mwu_on_slices ~iters:800 g cands d in
+  let _, gk = Concurrent_flow.on_slices ~epsilon:0.05 g cands d in
   Alcotest.(check bool)
     (Printf.sprintf "agreement lp=%.3f mwu=%.3f gk=%.3f" lp mwu gk)
     true
@@ -466,14 +498,14 @@ let test_gk_three_engines_agree () =
 
 let test_gk_empty_demand () =
   let g = square () in
-  let _, cong = Concurrent_flow.on_paths g [] Demand.empty in
+  let _, cong = Concurrent_flow.on_slices g (candidates g []) Demand.empty in
   Alcotest.(check (float 1e-9)) "empty" 0.0 cong
 
 let test_gk_missing_candidates () =
   let g = square () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Concurrent_flow.on_paths g [] (Demand.single_pair 0 3 1.0));
+       ignore (Concurrent_flow.on_slices g (candidates g []) (Demand.single_pair 0 3 1.0));
        false
      with Invalid_argument _ -> true)
 
@@ -486,7 +518,7 @@ let test_gk_respects_capacities () =
   let p0 = Path.of_edges g ~src:0 ~dst:1 [| 0 |] in
   let p1 = Path.of_edges g ~src:0 ~dst:1 [| 1 |] in
   let d = Demand.single_pair 0 1 4.0 in
-  let _, cong = Concurrent_flow.on_paths ~epsilon:0.05 g [ ((0, 1), [ p0; p1 ]) ] d in
+  let _, cong = Concurrent_flow.on_slices ~epsilon:0.05 g (candidates g [ ((0, 1), [ p0; p1 ]) ]) d in
   (* Optimum: 3 on the fat edge, 1 on the thin → congestion 1. *)
   Alcotest.(check bool) (Printf.sprintf "prop split (got %.3f)" cong) true (cong <= 1.1)
 
@@ -520,12 +552,8 @@ let test_rounding_lemma_bound () =
   for _ = 1 to 5 do
     let g = Gen.erdos_renyi rng 12 0.35 in
     let d = Demand.random_pairs rng ~n:12 ~pairs:6 in
-    let cands =
-      List.map
-        (fun (s, t) -> ((s, t), Yen.k_shortest g ~weight:(fun _ -> 1.0) ~k:3 s t))
-        (Demand.support d)
-    in
-    let fractional, frac_cong = Min_congestion.lp_on_paths g cands d in
+    let cands = yen_candidates g 3 d in
+    let fractional, frac_cong = Min_congestion.lp_on_slices g cands d in
     let a = Rounding.best_round ~tries:20 rng g fractional d in
     let bound = (2.0 *. frac_cong) +. (3.0 *. Float.log (float_of_int (Graph.m g))) in
     Alcotest.(check bool)
@@ -649,17 +677,16 @@ let () =
         ] );
       ( "lp",
         [
-          Alcotest.test_case "splits" `Quick test_lp_on_paths_splits;
-          Alcotest.test_case "single candidate" `Quick test_lp_on_paths_single_candidate;
-          Alcotest.test_case "competing pairs" `Quick test_lp_on_paths_competing_pairs;
+          Alcotest.test_case "splits" `Quick test_lp_splits;
+          Alcotest.test_case "single candidate" `Quick test_lp_single_candidate;
+          Alcotest.test_case "competing pairs" `Quick test_lp_competing_pairs;
           Alcotest.test_case "missing candidates" `Quick test_lp_missing_candidates;
           Alcotest.test_case "empty demand" `Quick test_lp_empty_demand;
           Alcotest.test_case "unrestricted known value" `Quick test_lp_unrestricted_known_value;
+          Alcotest.test_case "golden pins" `Quick test_lp_golden_pins;
         ] );
       ( "mwu",
         [
-          Alcotest.test_case "slice engine = list engine" `Quick
-            test_slice_engine_matches_list_engine;
           Alcotest.test_case "matches lp" `Slow test_mwu_matches_lp;
           Alcotest.test_case "square" `Quick test_mwu_on_square;
           Alcotest.test_case "unrestricted square" `Quick test_mwu_unrestricted_square;

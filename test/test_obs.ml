@@ -1,11 +1,10 @@
 (* Tests for Sso_obs: JSONL codec round-trips, the load error contract,
-   ring-buffer saturation, the Metrics compatibility shim, and — the load-
-   bearing property — identical trace event sequences at any job count. *)
+   ring-buffer saturation, the metrics registry, and — the load-bearing
+   property — identical trace event sequences at any job count. *)
 
 module Obs = Sso_obs.Obs
 module Trace = Sso_obs.Trace
 module Pool = Sso_engine.Pool
-module Metrics = Sso_engine.Metrics
 module Rng = Sso_prng.Rng
 module Graph = Sso_graph.Graph
 module Gen = Sso_graph.Gen
@@ -184,24 +183,6 @@ let test_load_contract () =
   expect_corrupt "truncated" (fun () -> Trace.load path);
   write path "";
   expect_corrupt "empty file" (fun () -> Trace.load path)
-
-(* ---- metrics shim ---- *)
-
-let test_metrics_shim () =
-  (* Engine.Metrics must be the same registry as Obs, not a copy: call
-     sites migrated one at a time must keep seeing each other's counts. *)
-  let a = Metrics.counter "obs.shim.test" in
-  let b = Obs.counter "obs.shim.test" in
-  Alcotest.(check bool) "same physical counter" true (a == b);
-  Metrics.incr ~by:5 a;
-  Alcotest.(check int) "visible through Obs" 5 (Obs.counter_value b);
-  let s1 = Metrics.span "obs.shim.span" in
-  let s2 = Obs.span "obs.shim.span" in
-  Alcotest.(check bool) "same physical span" true (s1 == s2);
-  Metrics.with_span s1 (fun () -> ());
-  Alcotest.(check int) "calls recorded" 1 (Obs.span_calls s2);
-  Alcotest.(check string) "same table" (Metrics.table ()) (Obs.metrics_table ());
-  Alcotest.(check string) "same json" (Metrics.json ()) (Obs.metrics_json ())
 
 (* ---- ring saturation ---- *)
 
@@ -542,7 +523,6 @@ let () =
         [ Alcotest.test_case "load errors" `Quick test_load_contract ] );
       ( "registry",
         [
-          Alcotest.test_case "metrics shim" `Quick test_metrics_shim;
           Alcotest.test_case "ring saturation" `Quick test_ring_saturation;
           Alcotest.test_case "capacity validation" `Quick
             test_capacity_validation;

@@ -107,6 +107,26 @@ let test_save_rejects_invalid_streams () =
 
 (* ---- batch application ---- *)
 
+let test_save_failure_leaves_no_tmp () =
+  (* Make the rename fail (the target is a directory): [save] must raise
+     its own [Unreadable] and leave no temporary beside the target. *)
+  let dir = Filename.temp_dir "sso_serve_test" "" in
+  let target = Filename.concat dir "stream.jsonl" in
+  Unix.mkdir target 0o700;
+  Fun.protect ~finally:(fun () ->
+      Array.iter
+        (fun f ->
+          let p = Filename.concat dir f in
+          if Sys.is_directory p then Unix.rmdir p else Sys.remove p)
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  (match Update.save target [ ev 0 0 1 (Update.Arrive 1.0) ] with
+  | () -> Alcotest.fail "rename onto a directory succeeded"
+  | exception Update.Unreadable _ -> ());
+  Alcotest.(check (list string)) "no stale .tmp after failure" [ "stream.jsonl" ]
+    (Array.to_list (Sys.readdir dir))
+
 let test_apply () =
   let d =
     Update.apply Demand.empty
@@ -822,6 +842,8 @@ let () =
           Alcotest.test_case "load contract" `Quick test_load_contract;
           Alcotest.test_case "save rejects" `Quick
             test_save_rejects_invalid_streams;
+          Alcotest.test_case "save failure leaves no tmp" `Quick
+            test_save_failure_leaves_no_tmp;
         ] );
       ( "apply",
         [
