@@ -947,6 +947,16 @@ let kernel_cases () =
   let base = Ksp.routing ~k:4 grid in
   let system = Sampler.alpha_sample (seeded 99) base ~alpha:4 in
   let sc = Path_system.to_slice_candidates system (Demand.support d) in
+  (* Sparse candidates: 64 pairs on a k=32 fat-tree (m = 16,384) whose
+     candidates touch a few hundred edges, so a round's cost should track
+     the candidates rather than the graph.  The index is built here, not
+     in the timed closure. *)
+  let fat = Gen.fat_tree 32 in
+  let fat_d = Demand.random_pairs (seeded 102) ~n:(Graph.n fat) ~pairs:64 in
+  let fat_sc =
+    let fat_system = Sampler.alpha_sample (seeded 103) (Ksp.routing ~k:8 fat) ~alpha:4 in
+    Path_system.to_slice_candidates fat_system (Demand.support fat_d)
+  in
   [
     ( "sssp_all_sources",
       fun () ->
@@ -961,6 +971,8 @@ let kernel_cases () =
     );
     ( "mwu_candidates",
       fun () -> ignore (Min_congestion.mwu_on_slices ~iters:150 grid sc d) );
+    ( "mwu_candidates_sparse",
+      fun () -> ignore (Min_congestion.mwu_on_slices ~iters:150 fat fat_sc fat_d) );
     ( "gk_candidates",
       fun () -> ignore (Concurrent_flow.on_slices ~epsilon:0.1 grid sc d) );
     ( "frt_build_grid",

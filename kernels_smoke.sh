@@ -14,6 +14,7 @@ for key in \
   kernels.mwu_unrestricted_shared.seconds \
   kernels.mwu_hop_limited_shared.seconds \
   kernels.mwu_candidates.seconds \
+  kernels.mwu_candidates_sparse.seconds \
   kernels.gk_candidates.seconds \
   kernels.frt_build_grid.seconds \
   kernels.racke_forest_grid.seconds

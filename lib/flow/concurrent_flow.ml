@@ -113,7 +113,9 @@ let solve ?(epsilon = 0.1) g ~oracle demand =
 (* The same phase structure as [solve], specialized to candidate slices:
    identical chunking, float updates, record order and trace events, with
    the cheapest-path oracle and the flow accumulation walking the flat
-   candidate index in place. *)
+   candidate index in place.  The oracle reads [local_length], a mirror of
+   [length] over the index's local edge space, written in the update loop
+   with the same value; [volume] still folds the graph-sized [length]. *)
 let on_slices ?(epsilon = 0.1) g sc demand =
   if not (epsilon > 0.0 && epsilon < 1.0) then
     invalid_arg "Concurrent_flow: epsilon must lie in (0,1)";
@@ -143,7 +145,10 @@ let on_slices ?(epsilon = 0.1) g sc demand =
       counts.(c) <- counts.(c) +. amount;
       present.(c) <- true
     in
-    let weight e = length.(e) in
+    let local_length =
+      Array.init (Slice_candidates.edge_count sc) (fun l ->
+          length.(Slice_candidates.edge sc l))
+    in
     (* Feasibility probe: every commodity must have at least one path. *)
     Array.iter
       (fun i ->
@@ -170,7 +175,7 @@ let on_slices ?(epsilon = 0.1) g sc demand =
           let i = positions.(k) in
           let remaining = ref (Demand.get demand s t) in
           while !remaining > 1e-12 && volume () < 1.0 do
-            let c = Slice_candidates.cheapest sc ~weight i in
+            let c = Slice_candidates.cheapest sc local_length i in
             if c < 0 then remaining := 0.0
             else begin
               let bottleneck =
@@ -180,9 +185,10 @@ let on_slices ?(epsilon = 0.1) g sc demand =
               in
               let amount = Float.min !remaining bottleneck in
               record c amount;
-              Slice_candidates.iter_edges sc c (fun e ->
-                  length.(e) <-
-                    length.(e) *. (1.0 +. (epsilon *. amount /. caps.(e))));
+              Slice_candidates.iter_local sc c (fun l ->
+                  let e = Slice_candidates.edge sc l in
+                  length.(e) <- length.(e) *. (1.0 +. (epsilon *. amount /. caps.(e)));
+                  local_length.(l) <- length.(e));
               remaining := !remaining -. amount
             end
           done)

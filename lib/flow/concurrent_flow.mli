@@ -21,7 +21,9 @@ val on_slices :
   Routing.t * float
 (** Min-congestion routing restricted to candidate paths ([epsilon]
     defaults to 0.1; smaller = more accurate and slower), walking the flat
-    candidate index in place.
+    candidate index in place.  The oracle reads edge lengths mirrored into
+    the index's local edge space; the phase test's length volume still
+    sums all m edges left to right, so the phase count is unchanged.
     @raise Invalid_argument if a demanded pair has no candidates. *)
 
 val unrestricted :

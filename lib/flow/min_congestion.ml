@@ -252,7 +252,12 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
       let base_plays = match warm with None -> 0 | Some (_, w) -> w in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
-        let max_cum = Array.fold_left Float.max neg_infinity cum in
+        (* A float loop: folding [Float.max] over the array boxes each element. *)
+        let max_cum = ref neg_infinity in
+        for e = 0 to m - 1 do
+          if cum.(e) > !max_cum then max_cum := cum.(e)
+        done;
+        let max_cum = !max_cum in
         for e = 0 to m - 1 do
           warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
         done;
@@ -319,7 +324,15 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
 
 (* The MWU game of [mwu_generic], specialized to candidate slices: same
    dispatch structure, counters, trace events and float operation order,
-   with best responses as candidate indices instead of boxed paths. *)
+   with best responses as candidate indices instead of boxed paths.
+
+   Every per-edge array is sized to the index's local edge space (plus
+   any warm-path edges outside it), so a round costs O(candidate edges),
+   not O(m).  The output stays bit-identical to the graph-sized game: an
+   untouched edge keeps cum = 0 and load 0, every cum is >= 0 (so the max
+   over local edges is the max over all edges), and u_norm and the trace
+   peaks are maxima, which do not depend on order.  η keeps the graph's m:
+   it is the game's step size, not a loop bound. *)
 let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
   if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
@@ -337,114 +350,160 @@ let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
             ("iters", Trace.Int iters);
           ];
     let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support_arr in
-    let caps = Array.init m (Graph.cap g) in
     (* Pair positions in the candidate index, [-1] for uncovered pairs. *)
     let positions = Array.map (Slice_candidates.position sc) support_arr in
-    let answer ~weight i =
-      let p = positions.(i) in
-      if p < 0 then -1 else Slice_candidates.cheapest sc ~weight p
+    (* Warm distributions resolved against the index: each path carries
+       its candidate ([-1] outside the candidate set) and its local edge
+       ids.  Edges of such overflow paths that the index lacks are
+       numbered after the index's own, through a lookup built only when
+       an overflow path shows up. *)
+    let nlocal = Slice_candidates.edge_count sc in
+    let extra = ref [] in
+    let lookup =
+      lazy
+        (let h = Hashtbl.create ((2 * nlocal) + 1) in
+         for l = 0 to nlocal - 1 do
+           Hashtbl.replace h (Slice_candidates.edge sc l) l
+         done;
+         h)
     in
-    let best_responses ~weight =
+    let local_of e =
+      let h = Lazy.force lookup in
+      match Hashtbl.find_opt h e with
+      | Some l -> l
+      | None ->
+          let l = nlocal + List.length !extra in
+          Hashtbl.add h e l;
+          extra := e :: !extra;
+          l
+    in
+    let warm_dists =
+      match warm with
+      | None -> [||]
+      | Some (previous, _) ->
+          Array.mapi
+            (fun i (s, t) ->
+              List.map
+                (fun (w, p) ->
+                  let c =
+                    if positions.(i) < 0 then -1 else Slice_candidates.find sc positions.(i) p
+                  in
+                  let locals =
+                    if c >= 0 then Slice_candidates.local_edges sc c
+                    else Array.map local_of p.Path.edges
+                  in
+                  (w, p, c, locals))
+                (Routing.distribution previous s t))
+            support_arr
+    in
+    let extra = Array.of_list (List.rev !extra) in
+    let size = nlocal + Array.length extra in
+    let caps =
+      Array.init size (fun l ->
+          Graph.cap g (if l < nlocal then Slice_candidates.edge sc l else extra.(l - nlocal)))
+    in
+    (* The oracle's local-indexed weights: uniform 1/cap for the probe,
+       then the adversary's weights, rewritten in place every round. *)
+    let warr = Array.init size (fun l -> 1.0 /. caps.(l)) in
+    let answer i =
+      let p = positions.(i) in
+      if p < 0 then -1 else Slice_candidates.cheapest sc warr p
+    in
+    let best_responses () =
       Obs.incr ~by:pairs mwu_oracle_calls;
-      if pairs < 4 then Array.init pairs (fun i -> answer ~weight i)
-      else Pool.parallel_init ?pool pairs (fun i -> answer ~weight i)
+      if pairs < 4 then Array.init pairs answer else Pool.parallel_init ?pool pairs answer
     in
     let add_loads loads c amount =
-      Slice_candidates.iter_edges sc c (fun e ->
-          Array.unsafe_set loads e (Array.unsafe_get loads e +. amount))
+      Slice_candidates.iter_local sc c (fun l ->
+          Array.unsafe_set loads l (Array.unsafe_get loads l +. amount))
     in
-    let probe_weight e = 1.0 /. caps.(e) in
-    let probe = best_responses ~weight:probe_weight in
+    let probe = best_responses () in
     if Array.exists (fun c -> c < 0) probe then None
     else begin
-      let loads = Array.make m 0.0 in
+      let loads = Array.make size 0.0 in
       Array.iteri (fun i c -> add_loads loads c amounts.(i)) probe;
       let u_norm = ref 1e-12 in
       Array.iteri
-        (fun e load ->
-          let c = load /. caps.(e) in
+        (fun l load ->
+          let c = load /. caps.(l) in
           if c > !u_norm then u_norm := c)
         loads;
       let u_norm = !u_norm in
       let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
-      let cum = Array.make m 0.0 in
+      let cum = Array.make size 0.0 in
       let ncands = Slice_candidates.ncands sc in
       let counts = Array.make ncands 0.0 in
       let present = Array.make ncands false in
       let overflow : (int, (Path.t * float) list) Hashtbl.t = Hashtbl.create 7 in
       (match warm with
       | None -> ()
-      | Some (previous, weight) ->
+      | Some (_, weight) ->
           if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
           let wf = float_of_int weight in
           Array.iteri
-            (fun i (s, t) ->
-              match Routing.distribution previous s t with
+            (fun i dist ->
+              match dist with
               | [] -> ()
               | dist ->
-                  let over = ref Path_map.empty in
-                  List.iter
-                    (fun (w, p) ->
-                      let c =
-                        if positions.(i) < 0 then -1
-                        else Slice_candidates.find sc positions.(i) p
-                      in
-                      if c >= 0 then begin
-                        counts.(c) <- counts.(c) +. (w *. wf);
-                        present.(c) <- true
-                      end
-                      else
-                        over :=
-                          Path_map.update p
-                            (function
-                              | None -> Some (w *. wf) | Some c -> Some (c +. (w *. wf)))
-                            !over)
-                    dist;
-                  if not (Path_map.is_empty !over) then
-                    Hashtbl.replace overflow i
-                      (Path_map.fold (fun p c acc -> (p, c) :: acc) !over []
-                      |> List.rev);
-                  let amount = amounts.(i) in
-                  List.iter
-                    (fun (w, (p : Path.t)) ->
-                      Array.iter
-                        (fun e ->
-                          cum.(e) <-
-                            cum.(e) +. (wf *. w *. amount /. (caps.(e) *. u_norm)))
-                        p.Path.edges)
-                    dist)
-            support_arr);
+                let over = ref Path_map.empty in
+                List.iter
+                  (fun (w, p, c, _) ->
+                    if c >= 0 then begin
+                      counts.(c) <- counts.(c) +. (w *. wf);
+                      present.(c) <- true
+                    end
+                    else
+                      over :=
+                        Path_map.update p
+                          (function
+                            | None -> Some (w *. wf) | Some c -> Some (c +. (w *. wf)))
+                          !over)
+                  dist;
+                if not (Path_map.is_empty !over) then
+                  Hashtbl.replace overflow i
+                    (Path_map.fold (fun p c acc -> (p, c) :: acc) !over [] |> List.rev);
+                let amount = amounts.(i) in
+                List.iter
+                  (fun (w, _, _, locals) ->
+                    Array.iter
+                      (fun l ->
+                        cum.(l) <- cum.(l) +. (wf *. w *. amount /. (caps.(l) *. u_norm)))
+                      locals)
+                  dist)
+            warm_dists);
       let record c =
         counts.(c) <- counts.(c) +. 1.0;
         present.(c) <- true
       in
-      let warr = Array.make m 0.0 in
-      let round_weight e = warr.(e) in
-      let round_loads = Array.make m 0.0 in
+      let round_loads = Array.make size 0.0 in
       let base_plays = match warm with None -> 0 | Some (_, w) -> w in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
-        let max_cum = Array.fold_left Float.max neg_infinity cum in
-        for e = 0 to m - 1 do
-          warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
+        let max_cum = ref neg_infinity in
+        for l = 0 to size - 1 do
+          if cum.(l) > !max_cum then max_cum := cum.(l)
         done;
-        let responses = best_responses ~weight:round_weight in
-        Array.fill round_loads 0 m 0.0;
+        let max_cum = !max_cum in
+        for l = 0 to size - 1 do
+          warr.(l) <- Float.exp (eta *. (cum.(l) -. max_cum)) /. caps.(l)
+        done;
+        let responses = best_responses () in
+        Array.fill round_loads 0 size 0.0;
         Array.iteri
           (fun i c ->
             if c < 0 then assert false (* probed feasible above *);
             record c;
             add_loads round_loads c amounts.(i))
           responses;
-        for e = 0 to m - 1 do
-          cum.(e) <- cum.(e) +. (round_loads.(e) /. (caps.(e) *. u_norm))
+        for l = 0 to size - 1 do
+          cum.(l) <- cum.(l) +. (round_loads.(l) /. (caps.(l) *. u_norm))
         done;
         if Obs.tracing () then begin
           let round_peak = ref 0.0 and cum_peak = ref neg_infinity in
-          for e = 0 to m - 1 do
-            let rc = round_loads.(e) /. caps.(e) in
+          for l = 0 to size - 1 do
+            let rc = round_loads.(l) /. caps.(l) in
             if rc > !round_peak then round_peak := rc;
-            if cum.(e) > !cum_peak then cum_peak := cum.(e)
+            if cum.(l) > !cum_peak then cum_peak := cum.(l)
           done;
           let plays = float_of_int (base_plays + round) in
           let support_paths =

@@ -31,8 +31,12 @@ val mwu_on_slices :
 (** Approximate version of {!lp_on_slices} via multiplicative weights
     ([iters] defaults to 300; error decays as [O(1/√iters)]).  The oracle
     and load accumulation walk the flat candidate index in place; boxed
-    paths appear only in the returned routing.  Results are bit-identical
-    for any [pool].  @raise Invalid_argument if some demanded pair has no
+    paths appear only in the returned routing.  Per-edge state lives in
+    the index's local edge space ({!Slice_candidates.edge_count} edges,
+    plus warm-path edges outside it), so a round costs O(candidate edges)
+    and allocates per pair only — never O(m); the step size still uses the
+    graph's m.  Results are bit-identical to a graph-sized game and for
+    any [pool].  @raise Invalid_argument if some demanded pair has no
     candidates. *)
 
 val mwu_on_slices_warm :

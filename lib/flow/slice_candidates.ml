@@ -10,11 +10,19 @@
    boxed solvers' [Path_map] imposed on outputs — so results stay
    bit-identical to the list-based implementation this replaces.
 
+   The index also owns a local edge space: the distinct graph edges of
+   the candidates are numbered 0..k-1 in first-seen order, [flat] holds
+   those local ids and [edges] maps each back to its graph edge.  Solvers
+   size their per-edge state to k, so a round costs O(candidate edges)
+   however large the graph is.  [iter_edges], [fold_edges] and [find]
+   still speak graph ids.
+
    Candidates are distinct within a pair: every index comes from a
    [Path_system], whose validation rejects duplicate paths. *)
 
 module Path = Sso_graph.Path
 module Arena = Sso_graph.Arena
+module Graph = Sso_graph.Graph
 
 type t = {
   arena : Arena.t;
@@ -23,11 +31,12 @@ type t = {
   slice_ids : int array;  (* candidate -> arena slice handle *)
   rank : int array;  (* per pair range: candidates ascending by path order *)
   edge_off : int array;  (* candidate -> edge range, ncands + 1 *)
-  flat : int array;  (* concatenated edge ids, path order *)
+  flat : int array;  (* concatenated local edge ids, path order *)
+  edges : int array;  (* local edge id -> graph edge id *)
 }
 
 (* Order two candidates the way [Path.compare] orders paths of one pair:
-   fewer hops first, then lexicographic on edge ids. *)
+   fewer hops first, then lexicographic on (graph) edge ids. *)
 let compare_cands edge_off flat c1 c2 =
   let h1 = edge_off.(c1 + 1) - edge_off.(c1) in
   let h2 = edge_off.(c2 + 1) - edge_off.(c2) in
@@ -72,42 +81,64 @@ let of_arena arena ranges =
     Array.sort cmp seg;
     Array.blit seg 0 rank lo (hi - lo)
   done;
-  { arena; pos; cand_off; slice_ids; rank; edge_off; flat }
+  (* Number the distinct edges in first-seen order, rewriting [flat] to
+     local ids in the same pass; [local] is graph-sized scratch. *)
+  let local = Array.make (Graph.m (Arena.graph arena)) (-1) in
+  let edges = Array.make (Array.length flat) 0 in
+  let k = ref 0 in
+  for j = 0 to Array.length flat - 1 do
+    let e = flat.(j) in
+    let l = local.(e) in
+    if l >= 0 then flat.(j) <- l
+    else begin
+      local.(e) <- !k;
+      edges.(!k) <- e;
+      flat.(j) <- !k;
+      incr k
+    end
+  done;
+  let edges = Array.sub edges 0 !k in
+  { arena; pos; cand_off; slice_ids; rank; edge_off; flat; edges }
 
 let position sc pair = match Hashtbl.find_opt sc.pos pair with Some i -> i | None -> -1
 let ncands sc = sc.cand_off.(Array.length sc.cand_off - 1)
 let is_empty_at sc i = sc.cand_off.(i) >= sc.cand_off.(i + 1)
 let range sc i = (sc.cand_off.(i), sc.cand_off.(i + 1))
 let path sc c = Arena.to_path sc.arena sc.slice_ids.(c)
+let edge_count sc = Array.length sc.edges
+let edge sc l = sc.edges.(l)
+let local_edges sc c = Array.sub sc.flat sc.edge_off.(c) (sc.edge_off.(c + 1) - sc.edge_off.(c))
 
-(* Cheapest candidate of pair position [i] under [weight]: the same strict
-   [<] left fold the boxed oracle ran over the candidate list, on the flat
-   arrays.  [-1] when the pair has no candidates. *)
-let cheapest sc ~weight i =
+(* Cheapest candidate of pair position [i] under local-indexed weights
+   [w]: the same strict [<] left fold the boxed oracle ran over the
+   candidate list, and the same left-to-right sum per path.  The scores
+   live in unboxed float refs, so a call allocates nothing.  [-1] when the
+   pair has no candidates. *)
+let cheapest sc (w : float array) i =
+  if Array.length w < Array.length sc.edges then
+    invalid_arg "Slice_candidates.cheapest: weight array shorter than the edge space";
   let lo = sc.cand_off.(i) and hi = sc.cand_off.(i + 1) in
-  if lo >= hi then -1
-  else begin
-    let score c =
-      let acc = ref 0.0 in
-      for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
-        acc := !acc +. weight (Array.unsafe_get sc.flat k)
-      done;
-      !acc
-    in
-    let best = ref lo and bw = ref (score lo) in
-    for c = lo + 1 to hi - 1 do
-      let w = score c in
-      if w < !bw then begin
-        bw := w;
-        best := c
-      end
+  let best = ref (-1) and bw = ref 0.0 in
+  for c = lo to hi - 1 do
+    let acc = ref 0.0 in
+    for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
+      acc := !acc +. Array.unsafe_get w (Array.unsafe_get sc.flat k)
     done;
-    !best
-  end
+    if c = lo || !acc < !bw then begin
+      bw := !acc;
+      best := c
+    end
+  done;
+  !best
+
+let iter_local sc c f =
+  for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
+    f (Array.unsafe_get sc.flat k)
+  done
 
 let iter_edges sc c f =
   for k = sc.edge_off.(c) to sc.edge_off.(c + 1) - 1 do
-    f (Array.unsafe_get sc.flat k)
+    f (Array.unsafe_get sc.edges (Array.unsafe_get sc.flat k))
   done
 
 let fold_edges sc c f init =
@@ -126,7 +157,9 @@ let find sc i (p : Path.t) =
       sc.edge_off.(c + 1) - sc.edge_off.(c) = h
       && begin
            let rec eq k =
-             k = h || (sc.flat.(sc.edge_off.(c) + k) = p.Path.edges.(k) && eq (k + 1))
+             k = h
+             || (sc.edges.(sc.flat.(sc.edge_off.(c) + k)) = p.Path.edges.(k)
+                && eq (k + 1))
            in
            eq 0
          end

@@ -9,6 +9,16 @@
     [Path_map] imposed on outputs — so slice-based solves produce
     bit-identical routings to the list-based implementation they replace.
 
+    {2 Local edge space}
+
+    The index numbers the distinct graph edges its candidates use
+    [0 .. edge_count - 1] in first-seen order (one pass over the unpacked
+    edges with a graph-sized scratch array — no hashing, no sort).
+    Solvers size their per-edge state to that space, so a solver round
+    costs O(candidate edges) rather than O(m).  {!cheapest} and
+    {!iter_local} speak local ids; {!iter_edges}, {!fold_edges} and
+    {!find} keep speaking graph ids.
+
     Candidates must be distinct within a pair.  Indexes are built by
     [Path_system.to_slice_candidates], and path-system validation rejects
     duplicate paths, so every candidate is its own representative. *)
@@ -37,14 +47,30 @@ val range : t -> int -> int * int
 val path : t -> int -> Sso_graph.Path.t
 (** The boxed path of a candidate, read from the arena. *)
 
-val cheapest : t -> weight:(int -> float) -> int -> int
-(** Cheapest candidate of pair position [i] under [weight] — the same
-    strict [<] left fold over candidates in generation order (ties keep the
-    first) and the same per-path left-to-right weight sum as the boxed
-    oracle.  [-1] when the pair has no candidates. *)
+val edge_count : t -> int
+(** Size [k] of the local edge space: the number of distinct graph edges
+    the candidates use. *)
+
+val edge : t -> int -> int
+(** Graph edge id of a local edge id. *)
+
+val local_edges : t -> int -> int array
+(** Local edge ids of a candidate, in path order (a fresh array). *)
+
+val cheapest : t -> float array -> int -> int
+(** [cheapest sc w i]: cheapest candidate of pair position [i] when local
+    edge [l] weighs [w.(l)] — the same strict [<] left fold over
+    candidates in generation order (ties keep the first) and the same
+    per-path left-to-right weight sum as the boxed oracle.  Reads [w]
+    directly and allocates nothing; O(edges of the pair's candidates).
+    [-1] when the pair has no candidates.
+    @raise Invalid_argument if [w] is shorter than {!edge_count}. *)
+
+val iter_local : t -> int -> (int -> unit) -> unit
+(** Local edge ids of a candidate, in path order. *)
 
 val iter_edges : t -> int -> (int -> unit) -> unit
-(** Edge ids of a candidate, in path order. *)
+(** Graph edge ids of a candidate, in path order. *)
 
 val fold_edges : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 

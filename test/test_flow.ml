@@ -660,6 +660,176 @@ let test_mwu_hop_limited_batched_matches_per_pair () =
   exact_same_routing "per-pair jobs 4" reference (solve ~pool:p4 ~batched:false);
   exact_same_routing "batched jobs 4" reference (solve ~pool:p4 ~batched:true)
 
+(* Stage-4 MWU/GK golden pins.  The instances live on a k=8 fat-tree
+   (m = 256) whose candidates touch only a few dozen edges, so a change
+   to the solvers' edge space — the MWU step size η, the max-normalized
+   adversary weights, warm-path edges outside the candidate set — moves a
+   congestion bit, a routing digest or a telemetry value here. *)
+
+module Obs = Sso_obs.Obs
+module Trace = Sso_obs.Trace
+module Slice_candidates = Sso_flow.Slice_candidates
+
+(* Edge switch [e] of pod [p] in [Gen.fat_tree k]. *)
+let fat_switch k (p, e) = (k * k / 4) + (p * k) + (k / 2) + e
+
+(* Edge switch [src] → aggregation switch [a] of its pod → core
+   [a·k/2 + c] → aggregation switch [a] of [dst]'s pod → edge switch
+   [dst]. *)
+let fat_path g k src dst (a, c) =
+  let half = k / 2 in
+  let agg (p, _) = (half * half) + (p * k) + a in
+  Path.of_vertices g [ fat_switch k src; agg src; (a * half) + c; agg dst; fat_switch k dst ]
+
+(* [(src, dst, amount, candidate routes)], routes as [(a, c)]. *)
+let fat_pin_pairs =
+  [
+    ((0, 0), (3, 1), 2.0, [ (0, 0); (1, 2); (2, 1) ]);
+    ((0, 0), (5, 2), 1.0, [ (0, 0); (1, 2); (3, 3) ]);
+    ((0, 1), (3, 1), 1.5, [ (0, 1); (1, 2); (2, 1) ]);
+    ((4, 1), (0, 0), 1.0, [ (0, 0); (2, 1); (3, 3) ]);
+    ((5, 2), (0, 3), 3.0, [ (1, 0); (3, 1) ]);
+    ((6, 0), (2, 2), 0.5, [ (0, 3); (2, 0) ]);
+  ]
+
+let fat_pair k (src, dst, _, _) = (fat_switch k src, fat_switch k dst)
+
+let fat_candidates g k entries =
+  candidates g
+    (List.map
+       (fun ((src, dst, _, routes) as entry) ->
+         (fat_pair k entry, List.map (fat_path g k src dst) routes))
+       entries)
+
+let fat_demand k entries =
+  Demand.of_list
+    (List.map
+       (fun ((_, _, amount, _) as entry) ->
+         let s, t = fat_pair k entry in
+         (s, t, amount))
+       entries)
+
+(* Run [f] with tracing on; return its result and the float bits of the
+   last [mwu.round] event's potential, average and round congestion. *)
+let last_round f =
+  Obs.clear_trace ();
+  Obs.set_tracing true;
+  let result = Fun.protect ~finally:(fun () -> Obs.set_tracing false) f in
+  let last =
+    List.fold_left
+      (fun acc (e : Trace.event) -> if e.Trace.name = "mwu.round" then Some e else acc)
+      None (Obs.events ())
+  in
+  Obs.clear_trace ();
+  let bits key =
+    match Option.map (fun (e : Trace.event) -> List.assoc_opt key e.Trace.attrs) last with
+    | Some (Some (Trace.Float f)) -> Int64.bits_of_float f
+    | _ -> Alcotest.failf "no mwu.round event with a float %s" key
+  in
+  (result, (bits "potential", bits "avg_congestion", bits "round_congestion"))
+
+(* (a) a cold MWU over four pairs; (b) an index over all six pairs for a
+   three-pair demand; (c) a warm start whose paths include overflow paths
+   through cores no candidate uses; (d) Garg–Könemann on (a). *)
+let stage4_pin_runs () =
+  let k = 8 in
+  let g = Gen.fat_tree k in
+  let four = List.filteri (fun i _ -> i < 4) fat_pin_pairs in
+  let sc_a = fat_candidates g k four and d_a = fat_demand k four in
+  let sc_b = fat_candidates g k fat_pin_pairs in
+  let d_b = fat_demand k (List.filteri (fun i _ -> i mod 2 = 1) fat_pin_pairs) in
+  let sc_c =
+    fat_candidates g k
+      (List.map
+         (fun (src, dst, x, routes) -> (src, dst, x, List.filteri (fun i _ -> i < 2) routes))
+         four)
+  in
+  (* A pair's warm distribution: its three routes at weight 1, plus
+     [extra] weighted routes. *)
+  let warm_dist ((src, dst, _, routes) as entry) extra =
+    ( fat_pair k entry,
+      List.map (fun (w, r) -> (w, fat_path g k src dst r)) extra
+      @ List.map (fun r -> (1.0, fat_path g k src dst r)) routes )
+  in
+  let warm =
+    Routing.make
+      [
+        warm_dist (List.nth four 0) [ (6.0, (3, 2)); (1.0, (1, 3)) ];
+        warm_dist (List.nth four 1) [];
+      ]
+  in
+  let touched = Hashtbl.create 64 in
+  for c = 0 to Slice_candidates.ncands sc_c - 1 do
+    Slice_candidates.iter_edges sc_c c (fun e -> Hashtbl.replace touched e ())
+  done;
+  let src, dst, _, _ = List.hd four in
+  Alcotest.(check bool) "candidates touch few edges" true
+    (Hashtbl.length touched * 4 < Graph.m g);
+  Alcotest.(check bool) "an overflow path leaves the candidates' edges" true
+    (Array.exists (fun e -> not (Hashtbl.mem touched e)) (fat_path g k src dst (3, 2)).Path.edges);
+  let a, a_round = last_round (fun () -> Min_congestion.mwu_on_slices ~iters:120 g sc_a d_a) in
+  let b = Min_congestion.mwu_on_slices ~iters:120 g sc_b d_b in
+  let c, c_round =
+    last_round (fun () ->
+        Min_congestion.mwu_on_slices_warm ~iters:40 ~warm ~warm_weight:200 g sc_c d_a)
+  in
+  let d = Concurrent_flow.on_slices ~epsilon:0.1 g sc_a d_a in
+  ( [ ("cold", a); ("index wider than demand", b); ("warm overflow", c); ("gk", d) ],
+    [ ("cold", a_round); ("warm overflow", c_round) ] )
+
+let stage4_golden =
+  [
+    ("cold", (4608233258713070524L, -8556871333054261892L));
+    ("index wider than demand", (4602828939160225929L, -346270905968663307L));
+    ("warm overflow", (4610822828498808558L, 5900996897321447178L));
+    ("gk", (4608014706205486288L, -3617433504488301153L));
+  ]
+
+(* (potential, avg_congestion, round_congestion) of the last round. *)
+let stage4_round_golden =
+  [
+    ("cold", (4630404104378646528L, 4608233258713070524L, 4611686018427387904L));
+    ("warm overflow", (4635095353990490794L, 4608433418696509212L, 4616752568008179712L));
+  ]
+
+let test_stage4_golden_pins () =
+  let runs, rounds = stage4_pin_runs () in
+  List.iter (fun (name, got) -> check_pin name (List.assoc name stage4_golden) got) runs;
+  List.iter
+    (fun (name, got) ->
+      Alcotest.(check (triple int64 int64 int64))
+        (name ^ " last round") (List.assoc name stage4_round_golden) got)
+    rounds
+
+(* Per-round allocation of the candidate MWU: the minor words of 200
+   rounds minus those of 100, over 100, on a k=32 fat-tree (m = 16,384)
+   with 32 pairs of four candidates each.  A round may allocate per pair
+   (oracle answers, boxed amounts) but nothing proportional to m. *)
+let test_candidate_round_allocation () =
+  let k = 32 in
+  let g = Gen.fat_tree k in
+  let half = k / 2 in
+  let entries =
+    List.init 32 (fun i ->
+        let src = (i, i mod half) and dst = ((i + 7) mod k, i * 5 mod half) in
+        let routes = List.init 4 (fun j -> ((i + (5 * j)) mod half, 3 * j mod half)) in
+        (src, dst, 1.0 +. float_of_int (i mod 3), routes))
+  in
+  let sc = fat_candidates g k entries and d = fat_demand k entries in
+  let pairs = Demand.support_size d in
+  with_pool 1 @@ fun pool ->
+  let words iters =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Min_congestion.mwu_on_slices ~pool ~iters g sc d));
+    Gc.minor_words () -. before
+  in
+  ignore (words 100);
+  let per_round = (words 200 -. words 100) /. 100.0 in
+  let budget = float_of_int ((32 * pairs) + 256) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per round (budget %.0f, m = %d)" per_round budget (Graph.m g))
+    true (per_round <= budget)
+
 let () =
   Alcotest.run "flow"
     [
@@ -697,6 +867,8 @@ let () =
             test_mwu_unrestricted_batched_matches_per_pair;
           Alcotest.test_case "hop limited batched = per-pair" `Quick
             test_mwu_hop_limited_batched_matches_per_pair;
+          Alcotest.test_case "stage-4 golden pins" `Quick test_stage4_golden_pins;
+          Alcotest.test_case "candidate round allocation" `Quick test_candidate_round_allocation;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
         ] );
