@@ -66,12 +66,53 @@ let set_jobs = function
       exit 124
   | None -> ()
 
-let read_graph path =
+let read_file path =
   let ic = open_in path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  Gio.of_string text
+  text
+
+let read_graph path = Gio.of_string (read_file path)
+
+(* ---- shared workload parsers (route, faults, serve) ---- *)
+
+let base_arg =
+  let doc = "Base oblivious routing: racke, valiant, ksp, shortest, ecube." in
+  Arg.(value & opt string "racke" & info [ "base" ] ~docv:"BASE" ~doc)
+
+(* [rng] is split only by the Räcke construction. *)
+let base_routing ?store rng g ~alpha = function
+  | "racke" -> Memo.racke ?store (Rng.split rng) g
+  | "valiant" -> Valiant.routing g
+  | "ksp" -> Ksp.routing ~k:(max 4 alpha) g
+  | "shortest" -> Deterministic.shortest_path g
+  | "ecube" -> Deterministic.ecube g
+  | other -> failwith (Printf.sprintf "unknown base routing %S" other)
+
+let demand_doc =
+  "permutation, pairs:N, gravity:TOTAL, all-to-all, or file:PATH (one 's t \
+   amount' line per pair)."
+
+let parse_demand rng g demand_spec =
+  match String.split_on_char ':' demand_spec with
+  | [ "permutation" ] -> Demand.random_permutation rng (Graph.n g)
+  | [ "pairs"; count ] ->
+      Demand.random_pairs rng ~n:(Graph.n g) ~pairs:(int_of_string count)
+  | [ "gravity"; total ] ->
+      Demand.gravity rng ~n:(Graph.n g) ~total:(float_of_string total)
+  | [ "all-to-all" ] -> Demand.all_to_all (Graph.n g)
+  | [ "file"; path ] -> Demand.of_string (read_file path)
+  | _ -> failwith (Printf.sprintf "unknown demand spec %S" demand_spec)
+
+let parse_solver solver_spec =
+  match String.split_on_char ':' solver_spec with
+  | [ "lp" ] -> Semi_oblivious.Lp
+  | [ "mwu" ] -> Semi_oblivious.default_solver
+  | [ "mwu"; iters ] -> Semi_oblivious.Mwu (int_of_string iters)
+  | [ "gk" ] -> Semi_oblivious.Gk 0.1
+  | [ "gk"; eps ] -> Semi_oblivious.Gk (float_of_string eps)
+  | _ -> failwith (Printf.sprintf "unknown solver %S" solver_spec)
 
 (* ---- artifact-cache arguments ---- *)
 
@@ -193,10 +234,6 @@ let info_cmd =
 (* ---- route ---- *)
 
 let route_cmd =
-  let base_arg =
-    let doc = "Base oblivious routing: racke, valiant, ksp, shortest, ecube." in
-    Arg.(value & opt string "racke" & info [ "base" ] ~docv:"BASE" ~doc)
-  in
   let alpha_arg =
     let doc = "Paths sampled per pair (the paper's α); 0 = use the full support." in
     Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
@@ -206,10 +243,7 @@ let route_cmd =
     Arg.(value & flag & info [ "with-cut" ] ~doc)
   in
   let demand_arg =
-    let doc =
-      "Demand workload: permutation, pairs:N, gravity:TOTAL, all-to-all, or \
-       file:PATH (one 's t amount' line per pair)."
-    in
+    let doc = "Demand workload: " ^ demand_doc in
     Arg.(value & opt string "permutation" & info [ "demand" ] ~docv:"DEMAND" ~doc)
   in
   let solver_arg =
@@ -226,45 +260,14 @@ let route_cmd =
     let store = open_store cache no_cache cache_dir in
     let g = read_graph path in
     let rng = Rng.create seed in
-    let base_routing =
-      match base with
-      | "racke" -> Memo.racke ?store (Rng.split rng) g
-      | "valiant" -> Valiant.routing g
-      | "ksp" -> Ksp.routing ~k:(max 4 alpha) g
-      | "shortest" -> Deterministic.shortest_path g
-      | "ecube" -> Deterministic.ecube g
-      | other -> failwith (Printf.sprintf "unknown base routing %S" other)
-    in
+    let base_routing = base_routing ?store rng g ~alpha base in
     let system =
       if alpha = 0 then Path_system.of_oblivious_support base_routing
       else if with_cut then Sampler.alpha_cut_sample (Rng.split rng) base_routing ~alpha
       else Sampler.alpha_sample (Rng.split rng) base_routing ~alpha
     in
-    let demand =
-      match String.split_on_char ':' demand_spec with
-      | [ "permutation" ] -> Demand.random_permutation (Rng.split rng) (Graph.n g)
-      | [ "pairs"; count ] ->
-          Demand.random_pairs (Rng.split rng) ~n:(Graph.n g) ~pairs:(int_of_string count)
-      | [ "gravity"; total ] ->
-          Demand.gravity (Rng.split rng) ~n:(Graph.n g) ~total:(float_of_string total)
-      | [ "all-to-all" ] -> Demand.all_to_all (Graph.n g)
-      | [ "file"; path ] ->
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          Demand.of_string text
-      | _ -> failwith (Printf.sprintf "unknown demand spec %S" demand_spec)
-    in
-    let solver =
-      match String.split_on_char ':' solver_spec with
-      | [ "lp" ] -> Semi_oblivious.Lp
-      | [ "mwu" ] -> Semi_oblivious.default_solver
-      | [ "mwu"; iters ] -> Semi_oblivious.Mwu (int_of_string iters)
-      | [ "gk" ] -> Semi_oblivious.Gk 0.1
-      | [ "gk"; eps ] -> Semi_oblivious.Gk (float_of_string eps)
-      | _ -> failwith (Printf.sprintf "unknown solver %S" solver_spec)
-    in
+    let demand = parse_demand (Rng.split rng) g demand_spec in
+    let solver = parse_solver solver_spec in
     let congestion = Semi_oblivious.congestion ~solver g system demand in
     let opt = Semi_oblivious.opt g demand in
     let oblivious_congestion = Oblivious.congestion base_routing demand in
@@ -396,12 +399,8 @@ let faults_cmd =
     let doc = "Paths sampled per pair (the paper's α)." in
     Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
   in
-  let base_arg =
-    let doc = "Base oblivious routing: racke, valiant, ksp, shortest." in
-    Arg.(value & opt string "racke" & info [ "base" ] ~docv:"BASE" ~doc)
-  in
   let demand_arg =
-    let doc = "Demand workload: pairs:N, permutation, gravity:TOTAL, all-to-all." in
+    let doc = "Demand workload: " ^ demand_doc in
     Arg.(value & opt string "pairs:6" & info [ "demand" ] ~docv:"DEMAND" ~doc)
   in
   let solver_arg =
@@ -428,39 +427,13 @@ let faults_cmd =
         (* WAN topologies: model node failures as shared-risk groups. *)
         List.init (Graph.n g) (Scenario.incident g)
   in
-  let parse_solver solver_spec =
-    match String.split_on_char ':' solver_spec with
-    | [ "lp" ] -> Semi_oblivious.Lp
-    | [ "mwu" ] -> Semi_oblivious.default_solver
-    | [ "mwu"; iters ] -> Semi_oblivious.Mwu (int_of_string iters)
-    | [ "gk" ] -> Semi_oblivious.Gk 0.1
-    | [ "gk"; eps ] -> Semi_oblivious.Gk (float_of_string eps)
-    | _ -> failwith (Printf.sprintf "unknown solver %S" solver_spec)
-  in
-  let parse_demand rng g demand_spec =
-    match String.split_on_char ':' demand_spec with
-    | [ "permutation" ] -> Demand.random_permutation rng (Graph.n g)
-    | [ "pairs"; count ] ->
-        Demand.random_pairs rng ~n:(Graph.n g) ~pairs:(int_of_string count)
-    | [ "gravity"; total ] ->
-        Demand.gravity rng ~n:(Graph.n g) ~total:(float_of_string total)
-    | [ "all-to-all" ] -> Demand.all_to_all (Graph.n g)
-    | _ -> failwith (Printf.sprintf "unknown demand spec %S" demand_spec)
-  in
   (* Same draw order as [sso route]/[sso simulate]: base, system, demand,
      then scenario randomness — so every command sees the same sampled
      system for the same seed. *)
   let setup ?store ~family ~size ~base ~alpha ~demand:demand_spec ~seed () =
     let g = build_family family size in
     let rng = Rng.create seed in
-    let base_routing =
-      match base with
-      | "racke" -> Memo.racke ?store (Rng.split rng) g
-      | "valiant" -> Valiant.routing g
-      | "ksp" -> Ksp.routing ~k:(max 4 alpha) g
-      | "shortest" -> Deterministic.shortest_path g
-      | other -> failwith (Printf.sprintf "unknown base routing %S" other)
-    in
+    let base_routing = base_routing ?store rng g ~alpha base in
     let system = Sampler.alpha_sample (Rng.split rng) base_routing ~alpha in
     let demand = parse_demand (Rng.split rng) g demand_spec in
     let scen_rng = Rng.split rng in
@@ -847,10 +820,6 @@ let serve_cmd =
       let doc = "Paths sampled per pair (the paper's α)." in
       Arg.(value & opt int 4 & info [ "alpha" ] ~docv:"ALPHA" ~doc)
     in
-    let base_arg =
-      let doc = "Base oblivious routing: racke, valiant, ksp, shortest." in
-      Arg.(value & opt string "racke" & info [ "base" ] ~docv:"BASE" ~doc)
-    in
     let solver_arg =
       let doc = "Cold-solve engine: mwu[:ITERS] (default), gk[:EPS], or lp." in
       Arg.(value & opt string "mwu" & info [ "solver" ] ~docv:"SOLVER" ~doc)
@@ -967,15 +936,6 @@ let serve_cmd =
          (degraded mode) before a re-solve is forced."
       in
       Arg.(value & opt int 4 & info [ "max-staleness" ] ~docv:"N" ~doc)
-    in
-    let parse_solver solver_spec =
-      match String.split_on_char ':' solver_spec with
-      | [ "lp" ] -> Semi_oblivious.Lp
-      | [ "mwu" ] -> Semi_oblivious.default_solver
-      | [ "mwu"; iters ] -> Semi_oblivious.Mwu (int_of_string iters)
-      | [ "gk" ] -> Semi_oblivious.Gk 0.1
-      | [ "gk"; eps ] -> Semi_oblivious.Gk (float_of_string eps)
-      | _ -> failwith (Printf.sprintf "unknown solver %S" solver_spec)
     in
     let mode_name = function
       | Serve.Cold -> "cold"
@@ -1100,14 +1060,7 @@ let serve_cmd =
          everywhere. *)
       let rng = Rng.create seed in
       let g = build_family (Rng.split rng) family size in
-      let base_routing =
-        match base with
-        | "racke" -> Memo.racke ?store (Rng.split rng) g
-        | "valiant" -> Valiant.routing g
-        | "ksp" -> Ksp.routing ~k:(max 4 alpha) g
-        | "shortest" -> Deterministic.shortest_path g
-        | other -> failwith (Printf.sprintf "unknown base routing %S" other)
-      in
+      let base_routing = base_routing ?store rng g ~alpha base in
       let system = Sampler.alpha_sample (Rng.split rng) base_routing ~alpha in
       let sim_rng = Rng.split rng in
       let fault_rng = Rng.split rng in

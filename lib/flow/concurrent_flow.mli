@@ -11,7 +11,12 @@
     We return the accumulated path flows re-normalized into a per-pair
     distribution and its {e measured} congestion, so the result is always
     a feasible routing of [d] regardless of the approximation constant;
-    the test suite cross-validates all three engines against each other. *)
+    the test suite cross-validates all three engines against each other.
+
+    Both solvers run one phase loop over an edge space — the candidate
+    index's local edges for {!on_slices}, the identity over the graph's m
+    edges for {!unrestricted} — and differ only in the cheapest-route
+    oracle and the construction of the output routing. *)
 
 val on_slices :
   ?epsilon:float ->

@@ -106,29 +106,44 @@ let lp_on_slices g sc demand =
    (implicitly, via exponential weights on cumulative normalized loads);
    the router best-responds by sending each commodity along its cheapest
    admissible path under those weights; the average of the best responses
-   converges to the min-congestion routing at rate O(width·√(ln m / T)). *)
+   converges to the min-congestion routing at rate O(width·√(ln m / T)).
+
+   One game serves every MWU solver.  It runs over a local edge space: the
+   identity over the graph's m edges for the shortest-path and hop-limited
+   oracles, the candidate index's local edges for the candidate solver.  A
+   solver plugs in only its best response and how plays become a routing. *)
 
 module Path_map = Map.Make (Path)
 
-(* Best-response oracles come in two shapes.  A [Per_pair] oracle answers
-   one commodity at a time (candidate-set lookup, where each answer is
-   O(candidates)).  A [Batched] oracle answers every commodity sharing a
-   source from one single-source computation (Dijkstra / hop-limited DP),
-   which is where the support of real demands — gravity matrices, incast,
-   ladders — collapses many pairs onto few sources.  Both shapes must
-   return, per pair, exactly the path the per-pair computation would. *)
-type oracle =
-  | Per_pair of (weight:(int -> float) -> int -> int -> Path.t option)
-  | Batched of (weight:(int -> float) -> int -> int array -> Path.t option array)
+(* What a solver plugs into [game].  Per-edge arrays are indexed by the
+   solver's local edge space, whose size is [Array.length caps]; responses
+   ['r] come back in support order. *)
+type 'r player = {
+  caps : float array;  (* local edge -> capacity *)
+  respond : float array -> 'r array;  (* every pair's answer to local weights *)
+  answered : 'r -> bool;  (* false when the pair has no admissible path *)
+  add_load : float array -> 'r -> float -> unit;  (* loads, answer, amount *)
+  record : int -> 'r -> unit;  (* one play of the pair at a support index *)
+  support_paths : unit -> int;  (* distinct paths played so far *)
+  seed : u_norm:float -> float array -> int;  (* warm start into cum; its plays *)
+  routing : unit -> Routing.t;  (* the average of all plays *)
+}
 
-let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
+(* Per-commodity best responses are independent within a round, so they
+   fan out on the pool; results come back in input order, and loads are
+   folded serially in support order, so the routing is bit-identical for
+   any job count.  Tiny supports stay serial — the dispatch overhead would
+   dominate (the cutoff is a constant, never the job count, to preserve
+   determinism). *)
+let fan_out ?pool ~pairs f xs =
+  if pairs < 4 then Array.map f xs else Pool.parallel_map ?pool f xs
+
+let game ?(iters = 300) ~label g demand player =
   if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
   if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
   else Obs.with_span span_mwu @@ fun () -> begin
-    let m = Graph.m g in
-    let support = Demand.support demand in
-    let support_arr = Array.of_list support in
-    let pairs = Array.length support_arr in
+    let support = Array.of_list (Demand.support demand) in
+    let pairs = Array.length support in
     if Obs.tracing () then
       Obs.event "mwu.solve"
         ~attrs:
@@ -137,145 +152,60 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
             ("pairs", Trace.Int pairs);
             ("iters", Trace.Int iters);
           ];
-    (* Per-round invariants, hoisted out of the relaxation/accumulation
-       inner loops: demand amounts and edge capacities are loop constants. *)
-    let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support_arr in
-    let caps = Array.init m (Graph.cap g) in
-    (* Group the support by source.  [Demand.support] is lexicographically
-       sorted, so equal sources form consecutive runs; grouping runs (and
-       flattening group answers in group order) therefore preserves support
-       order exactly — the determinism argument needs nothing more. *)
-    let groups =
-      let acc = ref [] in
-      let i = ref 0 in
-      while !i < pairs do
-        let s = fst support_arr.(!i) in
-        let j = ref !i in
-        while !j < pairs && fst support_arr.(!j) = s do incr j done;
-        acc := (s, Array.init (!j - !i) (fun k -> snd support_arr.(!i + k))) :: !acc;
-        i := !j
-      done;
-      Array.of_list (List.rev !acc)
-    in
-    (* Per-commodity best responses are independent within a round, so they
-       fan out on the pool; results come back in support order, and loads
-       are folded serially in that order, so the routing is bit-identical
-       for any job count.  Tiny supports stay serial — the dispatch
-       overhead would dominate (the cutoff is a constant, never the job
-       count, to preserve determinism). *)
-    let best_responses ~weight =
+    (* Demand amounts are loop constants, hoisted out of the rounds. *)
+    let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support in
+    let p = player support amounts in
+    let caps = p.caps in
+    let size = Array.length caps in
+    let best_responses w =
       Obs.incr ~by:pairs mwu_oracle_calls;
-      match oracle with
-      | Per_pair oracle ->
-          if pairs < 4 then Array.map (fun (s, t) -> oracle ~weight s t) support_arr
-          else Pool.parallel_map ?pool (fun (s, t) -> oracle ~weight s t) support_arr
-      | Batched oracle ->
-          Obs.incr ~by:(Array.length groups) mwu_sssp_batches;
-          let per_group =
-            if pairs < 4 then
-              Array.map (fun (s, ts) -> oracle ~weight s ts) groups
-            else Pool.parallel_map ?pool (fun (s, ts) -> oracle ~weight s ts) groups
-          in
-          Array.concat (Array.to_list per_group)
+      p.respond w
     in
-    (* Feasibility probe with uniform weights; also yields the width
-       normalizer U (congestion of the probe routing). *)
-    let probe_weight e = 1.0 /. caps.(e) in
-    let probe = best_responses ~weight:probe_weight in
-    if Array.exists (fun p -> p = None) probe then None
+    (* The best responses' weights: uniform 1/cap for the feasibility
+       probe, then the adversary's, rewritten in place every round (the
+       exp is hoisted out of the oracles' inner loops).  The probe also
+       yields the width normalizer U, the congestion of its routing. *)
+    let warr = Array.map (fun c -> 1.0 /. c) caps in
+    let probe = best_responses warr in
+    if not (Array.for_all p.answered probe) then None
     else begin
-      let loads = Array.make m 0.0 in
-      Array.iteri
-        (fun i p ->
-          match p with
-          | Some (p : Path.t) ->
-              let amount = amounts.(i) in
-              Array.iter (fun e -> loads.(e) <- loads.(e) +. amount) p.Path.edges
-          | None -> assert false)
-        probe;
+      let loads = Array.make size 0.0 in
+      Array.iteri (fun i r -> p.add_load loads r amounts.(i)) probe;
       let u_norm = ref 1e-12 in
       Array.iteri
-        (fun e load ->
-          let c = load /. caps.(e) in
+        (fun l load ->
+          let c = load /. caps.(l) in
           if c > !u_norm then u_norm := c)
         loads;
       let u_norm = !u_norm in
-      let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
-      let cum = Array.make m 0.0 in
-      let counts = Hashtbl.create pairs in
-      (* Warm start: treat a previous routing as [weight] already-played
-         rounds — seed both the play counts (so the average is anchored)
-         and the cumulative loads (so the adversary remembers). *)
-      (match warm with
-      | None -> ()
-      | Some (previous, weight) ->
-          if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
-          let wf = float_of_int weight in
-          Array.iteri
-            (fun i (s, t) ->
-              match Routing.distribution previous s t with
-              | [] -> ()
-              | dist ->
-                  let entry =
-                    List.fold_left
-                      (fun acc (w, p) ->
-                        Path_map.update p
-                          (function
-                            | None -> Some (w *. wf) | Some c -> Some (c +. (w *. wf)))
-                          acc)
-                      Path_map.empty dist
-                  in
-                  Hashtbl.replace counts (s, t) entry;
-                  let amount = amounts.(i) in
-                  List.iter
-                    (fun (w, (p : Path.t)) ->
-                      Array.iter
-                        (fun e ->
-                          cum.(e) <-
-                            cum.(e) +. (wf *. w *. amount /. (caps.(e) *. u_norm)))
-                        p.Path.edges)
-                    dist)
-            support_arr);
-      let record pair p =
-        let cur = try Hashtbl.find counts pair with Not_found -> Path_map.empty in
-        let cur =
-          Path_map.update p (function None -> Some 1.0 | Some c -> Some (c +. 1.0)) cur
-        in
-        Hashtbl.replace counts pair cur
+      (* η is the game's step size, not a loop bound: it keeps the graph's
+         m whatever the edge space. *)
+      let eta =
+        Float.sqrt (4.0 *. Float.log (float_of_int (max 2 (Graph.m g))) /. float_of_int iters)
       in
-      (* The adversary weight is recomputed once per edge per round into a
-         flat buffer (hoisting the exp out of the oracles' inner loops, and
-         off of every edge visit), reused across rounds. *)
-      let warr = Array.make m 0.0 in
-      let round_weight e = warr.(e) in
-      let round_loads = Array.make m 0.0 in
-      let base_plays = match warm with None -> 0 | Some (_, w) -> w in
+      let cum = Array.make size 0.0 in
+      let base_plays = p.seed ~u_norm cum in
+      let round_loads = Array.make size 0.0 in
       for round = 1 to iters do
         Obs.incr mwu_iterations;
         (* A float loop: folding [Float.max] over the array boxes each element. *)
         let max_cum = ref neg_infinity in
-        for e = 0 to m - 1 do
-          if cum.(e) > !max_cum then max_cum := cum.(e)
+        for l = 0 to size - 1 do
+          if cum.(l) > !max_cum then max_cum := cum.(l)
         done;
         let max_cum = !max_cum in
-        for e = 0 to m - 1 do
-          warr.(e) <- Float.exp (eta *. (cum.(e) -. max_cum)) /. caps.(e)
+        for l = 0 to size - 1 do
+          warr.(l) <- Float.exp (eta *. (cum.(l) -. max_cum)) /. caps.(l)
         done;
-        let responses = best_responses ~weight:round_weight in
-        Array.fill round_loads 0 m 0.0;
+        let responses = best_responses warr in
+        Array.fill round_loads 0 size 0.0;
         Array.iteri
-          (fun i response ->
-            match response with
-            | None -> assert false (* probed feasible above *)
-            | Some p ->
-                record support_arr.(i) p;
-                let amount = amounts.(i) in
-                Array.iter
-                  (fun e -> round_loads.(e) <- round_loads.(e) +. amount)
-                  p.Path.edges)
+          (fun i r ->
+            p.record i r;
+            p.add_load round_loads r amounts.(i))
           responses;
-        for e = 0 to m - 1 do
-          cum.(e) <- cum.(e) +. (round_loads.(e) /. (caps.(e) *. u_norm))
+        for l = 0 to size - 1 do
+          cum.(l) <- cum.(l) +. (round_loads.(l) /. (caps.(l) *. u_norm))
         done;
         (* Per-round convergence telemetry.  The cumulative normalized load
            satisfies cum(e)·u_norm = (total load on e so far)/cap(e), so
@@ -283,15 +213,12 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
            routing averaged over all plays (warm start included). *)
         if Obs.tracing () then begin
           let round_peak = ref 0.0 and cum_peak = ref neg_infinity in
-          for e = 0 to m - 1 do
-            let rc = round_loads.(e) /. caps.(e) in
+          for l = 0 to size - 1 do
+            let rc = round_loads.(l) /. caps.(l) in
             if rc > !round_peak then round_peak := rc;
-            if cum.(e) > !cum_peak then cum_peak := cum.(e)
+            if cum.(l) > !cum_peak then cum_peak := cum.(l)
           done;
           let plays = float_of_int (base_plays + round) in
-          let support_paths =
-            Hashtbl.fold (fun _ dist acc -> acc + Path_map.cardinal dist) counts 0
-          in
           Obs.event "mwu.round"
             ~attrs:
               [
@@ -300,18 +227,11 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
                 ("round_congestion", Trace.Float !round_peak);
                 ("avg_congestion", Trace.Float (!cum_peak *. u_norm /. plays));
                 ("potential", Trace.Float !cum_peak);
-                ("support_paths", Trace.Int support_paths);
+                ("support_paths", Trace.Int (p.support_paths ()));
               ]
         end
       done;
-      let routing =
-        Routing.make
-          (List.map
-             (fun (s, t) ->
-               let dist = Hashtbl.find counts (s, t) in
-               ((s, t), Path_map.fold (fun p c acc -> (c, p) :: acc) dist []))
-             support)
-      in
+      let routing = p.routing () in
       Some (routing, Routing.congestion g routing demand)
     end
   end
@@ -319,132 +239,87 @@ let mwu_generic ?pool ?(iters = 300) ?warm ?(label = "mwu") g ~oracle demand =
 (* ---------- Candidate sets as arena slices ----------
 
    Stage-4 candidate solving runs on the flat index of {!Slice_candidates}:
-   the candidate set is unpacked once per solve and every round's
-   oracle/accumulation loops walk int arrays in place. *)
+   the candidate set is unpacked once per solve, best responses are
+   candidate indices, and every round's oracle/accumulation loops walk int
+   arrays in place.
 
-(* The MWU game of [mwu_generic], specialized to candidate slices: same
-   dispatch structure, counters, trace events and float operation order,
-   with best responses as candidate indices instead of boxed paths.
-
-   Every per-edge array is sized to the index's local edge space (plus
-   any warm-path edges outside it), so a round costs O(candidate edges),
-   not O(m).  The output stays bit-identical to the graph-sized game: an
-   untouched edge keeps cum = 0 and load 0, every cum is >= 0 (so the max
-   over local edges is the max over all edges), and u_norm and the trace
-   peaks are maxima, which do not depend on order.  η keeps the graph's m:
-   it is the game's step size, not a loop bound. *)
-let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
-  if iters <= 0 then invalid_arg "Min_congestion: iters must be positive";
-  if Demand.support_size demand = 0 then Some (Routing.make [], 0.0)
-  else Obs.with_span span_mwu @@ fun () -> begin
-    let m = Graph.m g in
-    let support = Demand.support demand in
-    let support_arr = Array.of_list support in
-    let pairs = Array.length support_arr in
-    if Obs.tracing () then
-      Obs.event "mwu.solve"
-        ~attrs:
-          [
-            ("solver", Trace.String label);
-            ("pairs", Trace.Int pairs);
-            ("iters", Trace.Int iters);
-          ];
-    let amounts = Array.map (fun (s, t) -> Demand.get demand s t) support_arr in
-    (* Pair positions in the candidate index, [-1] for uncovered pairs. *)
-    let positions = Array.map (Slice_candidates.position sc) support_arr in
-    (* Warm distributions resolved against the index: each path carries
-       its candidate ([-1] outside the candidate set) and its local edge
-       ids.  Edges of such overflow paths that the index lacks are
-       numbered after the index's own, through a lookup built only when
-       an overflow path shows up. *)
-    let nlocal = Slice_candidates.edge_count sc in
-    let extra = ref [] in
-    let lookup =
-      lazy
-        (let h = Hashtbl.create ((2 * nlocal) + 1) in
-         for l = 0 to nlocal - 1 do
-           Hashtbl.replace h (Slice_candidates.edge sc l) l
-         done;
-         h)
-    in
-    let local_of e =
-      let h = Lazy.force lookup in
-      match Hashtbl.find_opt h e with
-      | Some l -> l
-      | None ->
-          let l = nlocal + List.length !extra in
-          Hashtbl.add h e l;
-          extra := e :: !extra;
-          l
-    in
-    let warm_dists =
-      match warm with
-      | None -> [||]
-      | Some (previous, _) ->
-          Array.mapi
-            (fun i (s, t) ->
-              List.map
-                (fun (w, p) ->
-                  let c =
-                    if positions.(i) < 0 then -1 else Slice_candidates.find sc positions.(i) p
-                  in
-                  let locals =
-                    if c >= 0 then Slice_candidates.local_edges sc c
-                    else Array.map local_of p.Path.edges
-                  in
-                  (w, p, c, locals))
-                (Routing.distribution previous s t))
-            support_arr
-    in
-    let extra = Array.of_list (List.rev !extra) in
-    let size = nlocal + Array.length extra in
-    let caps =
-      Array.init size (fun l ->
-          Graph.cap g (if l < nlocal then Slice_candidates.edge sc l else extra.(l - nlocal)))
-    in
-    (* The oracle's local-indexed weights: uniform 1/cap for the probe,
-       then the adversary's weights, rewritten in place every round. *)
-    let warr = Array.init size (fun l -> 1.0 /. caps.(l)) in
-    let answer i =
-      let p = positions.(i) in
-      if p < 0 then -1 else Slice_candidates.cheapest sc warr p
-    in
-    let best_responses () =
-      Obs.incr ~by:pairs mwu_oracle_calls;
-      if pairs < 4 then Array.init pairs answer else Pool.parallel_init ?pool pairs answer
-    in
-    let add_loads loads c amount =
-      Slice_candidates.iter_local sc c (fun l ->
-          Array.unsafe_set loads l (Array.unsafe_get loads l +. amount))
-    in
-    let probe = best_responses () in
-    if Array.exists (fun c -> c < 0) probe then None
-    else begin
-      let loads = Array.make size 0.0 in
-      Array.iteri (fun i c -> add_loads loads c amounts.(i)) probe;
-      let u_norm = ref 1e-12 in
-      Array.iteri
-        (fun l load ->
-          let c = load /. caps.(l) in
-          if c > !u_norm then u_norm := c)
-        loads;
-      let u_norm = !u_norm in
-      let eta = Float.sqrt (4.0 *. Float.log (float_of_int (max 2 m)) /. float_of_int iters) in
-      let cum = Array.make size 0.0 in
-      let ncands = Slice_candidates.ncands sc in
-      let counts = Array.make ncands 0.0 in
-      let present = Array.make ncands false in
-      let overflow : (int, (Path.t * float) list) Hashtbl.t = Hashtbl.create 7 in
-      (match warm with
-      | None -> ()
-      | Some (_, weight) ->
-          if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
-          let wf = float_of_int weight in
-          Array.iteri
-            (fun i dist ->
-              match dist with
-              | [] -> ()
-              | dist ->
+   The edge space is the index's local edges plus any warm-path edges
+   outside it, so a round costs O(candidate edges), not O(m).  The output
+   stays bit-identical to a graph-sized game: an untouched edge keeps
+   cum = 0 and load 0, every cum is >= 0 (so the max over local edges is
+   the max over all edges), and u_norm and the trace peaks are maxima,
+   which do not depend on order. *)
+let candidates ?pool ?warm g sc support amounts =
+  let pairs = Array.length support in
+  (* Pair positions in the candidate index, [-1] for uncovered pairs. *)
+  let positions = Array.map (Slice_candidates.position sc) support in
+  (* Warm distributions resolved against the index: each path carries
+     its candidate ([-1] outside the candidate set) and its local edge
+     ids.  Edges of such overflow paths that the index lacks are
+     numbered after the index's own, through a lookup built only when
+     an overflow path shows up. *)
+  let nlocal = Slice_candidates.edge_count sc in
+  let extra = ref [] in
+  let lookup =
+    lazy
+      (let h = Hashtbl.create ((2 * nlocal) + 1) in
+       for l = 0 to nlocal - 1 do
+         Hashtbl.replace h (Slice_candidates.edge sc l) l
+       done;
+       h)
+  in
+  let local_of e =
+    let h = Lazy.force lookup in
+    match Hashtbl.find_opt h e with
+    | Some l -> l
+    | None ->
+        let l = nlocal + List.length !extra in
+        Hashtbl.add h e l;
+        extra := e :: !extra;
+        l
+  in
+  let warm_dists =
+    match warm with
+    | None -> [||]
+    | Some (previous, _) ->
+        Array.mapi
+          (fun i (s, t) ->
+            List.map
+              (fun (w, p) ->
+                let c =
+                  if positions.(i) < 0 then -1 else Slice_candidates.find sc positions.(i) p
+                in
+                let locals =
+                  if c >= 0 then Slice_candidates.local_edges sc c
+                  else Array.map local_of p.Path.edges
+                in
+                (w, p, c, locals))
+              (Routing.distribution previous s t))
+          support
+  in
+  let extra = Array.of_list (List.rev !extra) in
+  let caps =
+    Array.init (nlocal + Array.length extra) (fun l ->
+        Graph.cap g (if l < nlocal then Slice_candidates.edge sc l else extra.(l - nlocal)))
+  in
+  let ncands = Slice_candidates.ncands sc in
+  let counts = Array.make ncands 0.0 in
+  let present = Array.make ncands false in
+  let overflow : (int, (Path.t * float) list) Hashtbl.t = Hashtbl.create 7 in
+  (* Warm start: treat a previous routing as [weight] already-played
+     rounds — seed both the play counts (so the average is anchored) and
+     the cumulative loads (so the adversary remembers). *)
+  let seed ~u_norm cum =
+    match warm with
+    | None -> 0
+    | Some (_, weight) ->
+        if weight <= 0 then invalid_arg "Min_congestion: warm-start weight must be positive";
+        let wf = float_of_int weight in
+        Array.iteri
+          (fun i dist ->
+            match dist with
+            | [] -> ()
+            | dist ->
                 let over = ref Path_map.empty in
                 List.iter
                   (fun (w, p, c, _) ->
@@ -470,61 +345,31 @@ let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
                         cum.(l) <- cum.(l) +. (wf *. w *. amount /. (caps.(l) *. u_norm)))
                       locals)
                   dist)
-            warm_dists);
-      let record c =
+          warm_dists;
+        weight
+  in
+  let answer w i = if i < 0 then -1 else Slice_candidates.cheapest sc w i in
+  {
+    caps;
+    respond = (fun w -> fan_out ?pool ~pairs (answer w) positions);
+    answered = (fun c -> c >= 0);
+    add_load =
+      (fun loads c amount ->
+        Slice_candidates.iter_local sc c (fun l ->
+            Array.unsafe_set loads l (Array.unsafe_get loads l +. amount)));
+    record =
+      (fun _ c ->
         counts.(c) <- counts.(c) +. 1.0;
-        present.(c) <- true
-      in
-      let round_loads = Array.make size 0.0 in
-      let base_plays = match warm with None -> 0 | Some (_, w) -> w in
-      for round = 1 to iters do
-        Obs.incr mwu_iterations;
-        let max_cum = ref neg_infinity in
-        for l = 0 to size - 1 do
-          if cum.(l) > !max_cum then max_cum := cum.(l)
-        done;
-        let max_cum = !max_cum in
-        for l = 0 to size - 1 do
-          warr.(l) <- Float.exp (eta *. (cum.(l) -. max_cum)) /. caps.(l)
-        done;
-        let responses = best_responses () in
-        Array.fill round_loads 0 size 0.0;
-        Array.iteri
-          (fun i c ->
-            if c < 0 then assert false (* probed feasible above *);
-            record c;
-            add_loads round_loads c amounts.(i))
-          responses;
-        for l = 0 to size - 1 do
-          cum.(l) <- cum.(l) +. (round_loads.(l) /. (caps.(l) *. u_norm))
-        done;
-        if Obs.tracing () then begin
-          let round_peak = ref 0.0 and cum_peak = ref neg_infinity in
-          for l = 0 to size - 1 do
-            let rc = round_loads.(l) /. caps.(l) in
-            if rc > !round_peak then round_peak := rc;
-            if cum.(l) > !cum_peak then cum_peak := cum.(l)
-          done;
-          let plays = float_of_int (base_plays + round) in
-          let support_paths =
-            let n = ref 0 in
-            Array.iter (fun p -> if p then incr n) present;
-            Hashtbl.iter (fun _ over -> n := !n + List.length over) overflow;
-            !n
-          in
-          Obs.event "mwu.round"
-            ~attrs:
-              [
-                ("solver", Trace.String label);
-                ("round", Trace.Int round);
-                ("round_congestion", Trace.Float !round_peak);
-                ("avg_congestion", Trace.Float (!cum_peak *. u_norm /. plays));
-                ("potential", Trace.Float !cum_peak);
-                ("support_paths", Trace.Int support_paths);
-              ]
-        end
-      done;
-      let routing =
+        present.(c) <- true);
+    support_paths =
+      (fun () ->
+        let n = ref 0 in
+        Array.iter (fun p -> if p then incr n) present;
+        Hashtbl.iter (fun _ over -> n := !n + List.length over) overflow;
+        !n);
+    seed;
+    routing =
+      (fun () ->
         Routing.make
           (List.mapi
              (fun i pair ->
@@ -532,56 +377,94 @@ let mwu_slices ?pool ?(iters = 300) ?warm ~label g sc demand =
                  Slice_candidates.pair_distribution sc ~counts ~present
                    ~overflow:(Hashtbl.find_opt overflow i)
                    positions.(i) ))
-             support)
-      in
-      Some (routing, Routing.congestion g routing demand)
-    end
-  end
+             (Array.to_list support)));
+  }
 
 (* The trace labels "on_paths"/"on_paths_warm" name the candidate-set
    solver in recorded traces; they are kept so traces stay comparable
    across versions. *)
 let mwu_on_slices ?pool ?iters g sc demand =
-  match mwu_slices ?pool ?iters ~label:"on_paths" g sc demand with
+  match game ?iters ~label:"on_paths" g demand (candidates ?pool g sc) with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_on_slices: demanded pair has no candidates"
 
 let mwu_on_slices_warm ?pool ?iters ~warm ~warm_weight g sc demand =
   match
-    mwu_slices ?pool ?iters ~warm:(warm, warm_weight) ~label:"on_paths_warm" g sc demand
+    game ?iters ~label:"on_paths_warm" g demand
+      (candidates ?pool ~warm:(warm, warm_weight) g sc)
   with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_on_slices_warm: demanded pair has no candidates"
 
-let unrestricted_oracle ?(batched = true) g =
-  if batched then
-    Batched (fun ~weight s ts -> Shortest.dijkstra_paths g ~weight s ts)
-  else Per_pair (fun ~weight s t -> Shortest.dijkstra_path g ~weight s t)
+(* ---------- Shortest-path and hop-limited oracles ----------
 
-let mwu_unrestricted ?pool ?iters ?batched g demand =
-  match
-    mwu_generic ?pool ?iters ~label:"unrestricted" g
-      ~oracle:(unrestricted_oracle ?batched g) demand
-  with
+   The edge space is the identity over the graph's m edges.  Each round
+   groups the support by source and answers all of a source's targets
+   from one single-source computation ([oracle ~weight s targets]: a
+   Dijkstra pass or the hop-limited DP), which is where the support of
+   real demands — gravity matrices, incast, ladders — collapses many pairs
+   onto few sources.  [Demand.support] is lexicographically sorted, so
+   equal sources form consecutive runs; flattening group answers in group
+   order therefore preserves support order exactly. *)
+let shortest_paths ?pool g ~oracle support _amounts =
+  let pairs = Array.length support in
+  let groups =
+    let acc = ref [] in
+    let i = ref 0 in
+    while !i < pairs do
+      let s = fst support.(!i) in
+      let j = ref !i in
+      while !j < pairs && fst support.(!j) = s do incr j done;
+      acc := (s, Array.init (!j - !i) (fun k -> snd support.(!i + k))) :: !acc;
+      i := !j
+    done;
+    Array.of_list (List.rev !acc)
+  in
+  let counts = Array.make pairs Path_map.empty in
+  let path = function Some p -> p | None -> assert false (* probed feasible *) in
+  {
+    caps = Array.init (Graph.m g) (Graph.cap g);
+    respond =
+      (fun w ->
+        Obs.incr ~by:(Array.length groups) mwu_sssp_batches;
+        let weight e = w.(e) in
+        Array.concat
+          (Array.to_list (fan_out ?pool ~pairs (fun (s, ts) -> oracle ~weight s ts) groups)));
+    answered = Option.is_some;
+    add_load =
+      (fun loads r amount ->
+        Array.iter (fun e -> loads.(e) <- loads.(e) +. amount) (path r).Path.edges);
+    record =
+      (fun i r ->
+        counts.(i) <-
+          Path_map.update (path r)
+            (function None -> Some 1.0 | Some c -> Some (c +. 1.0))
+            counts.(i));
+    support_paths = (fun () -> Array.fold_left (fun n d -> n + Path_map.cardinal d) 0 counts);
+    seed = (fun ~u_norm:_ _ -> 0);
+    routing =
+      (fun () ->
+        Routing.make
+          (List.mapi
+             (fun i pair -> (pair, Path_map.fold (fun p c acc -> (c, p) :: acc) counts.(i) []))
+             (Array.to_list support)));
+  }
+
+let mwu_unrestricted ?pool ?iters g demand =
+  let oracle ~weight s ts = Shortest.dijkstra_paths g ~weight s ts in
+  match game ?iters ~label:"unrestricted" g demand (shortest_paths ?pool g ~oracle) with
   | Some result -> result
   | None -> invalid_arg "Min_congestion.mwu_unrestricted: graph is disconnected"
 
-let mwu_unrestricted_avoiding ?pool ?iters ?(batched = true) ~avoid g demand =
-  let mask weight e = if avoid e then infinity else weight e in
-  let oracle =
-    if batched then
-      Batched (fun ~weight s ts -> Shortest.dijkstra_paths g ~weight:(mask weight) s ts)
-    else Per_pair (fun ~weight s t -> Shortest.dijkstra_path g ~weight:(mask weight) s t)
+let mwu_unrestricted_avoiding ?pool ?iters ~avoid g demand =
+  let oracle ~weight s ts =
+    Shortest.dijkstra_paths g ~weight:(fun e -> if avoid e then infinity else weight e) s ts
   in
-  mwu_generic ?pool ?iters ~label:"avoiding" g ~oracle demand
+  game ?iters ~label:"avoiding" g demand (shortest_paths ?pool g ~oracle)
 
-let mwu_hop_limited ?pool ?iters ?(batched = true) ~max_hops g demand =
-  let oracle =
-    if batched then
-      Batched (fun ~weight s ts -> Shortest.hop_limited_paths g ~weight ~max_hops s ts)
-    else Per_pair (fun ~weight s t -> Shortest.hop_limited_path g ~weight ~max_hops s t)
-  in
-  mwu_generic ?pool ?iters ~label:"hop_limited" g ~oracle demand
+let mwu_hop_limited ?pool ?iters ~max_hops g demand =
+  let oracle ~weight s ts = Shortest.hop_limited_paths g ~weight ~max_hops s ts in
+  game ?iters ~label:"hop_limited" g demand (shortest_paths ?pool g ~oracle)
 
 (* ---------- Exact unrestricted LP (edge formulation) ---------- *)
 

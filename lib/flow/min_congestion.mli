@@ -11,10 +11,15 @@
     the test suite:
 
     - an exact LP (path formulation, dense simplex) for small instances;
-    - a multiplicative-weights (no-regret game) solver whose path oracle is
-      pluggable: candidate-set lookup for path-restricted routing, Dijkstra
-      for the unrestricted optimum, and a hop-limited DP for the
-      hop-constrained optimum used by the completion-time results. *)
+    - a multiplicative-weights (no-regret game) solver whose best response
+      is pluggable: candidate-set lookup for path-restricted routing,
+      Dijkstra for the unrestricted optimum, and a hop-limited DP for the
+      hop-constrained optimum used by the completion-time results.
+
+    Every MWU entry point runs one game loop over an edge space: the
+    candidate index's local edges for the candidate solvers, the identity
+    over the graph's m edges for the oracle solvers.  Only the best
+    response and the construction of the output routing differ. *)
 
 val lp_on_slices :
   Sso_graph.Graph.t -> Slice_candidates.t -> Sso_demand.Demand.t -> Routing.t * float
@@ -62,22 +67,20 @@ val lp_unrestricted :
 val mwu_unrestricted :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
-  ?batched:bool ->
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> Routing.t * float
 (** Approximate [opt_{G,ℝ}(d)] with a Dijkstra best-response oracle.  The
     returned routing is supported on the paths the oracle produced.
 
-    With [batched] (the default), each round groups the demand's support by
-    source — [Demand.support] is sorted, so groups are consecutive runs —
-    and answers all of a source's targets from one Dijkstra pass
-    ({!Sso_graph.Shortest.dijkstra_paths}).  The routing is bit-identical
-    to the per-pair oracle ([batched:false]) and to any [pool] size; the
-    flag exists so tests can assert exactly that. *)
+    Each round groups the demand's support by source — [Demand.support] is
+    sorted, so groups are consecutive runs — and answers all of a source's
+    targets from one Dijkstra pass ({!Sso_graph.Shortest.dijkstra_paths},
+    which returns per target exactly the path of
+    {!Sso_graph.Shortest.dijkstra_path}).  The routing is bit-identical for
+    any [pool] size. *)
 
 val mwu_unrestricted_avoiding :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
-  ?batched:bool ->
   avoid:(int -> bool) ->
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> (Routing.t * float) option
 (** Like {!mwu_unrestricted} but never using edges for which [avoid] is
@@ -87,12 +90,12 @@ val mwu_unrestricted_avoiding :
 val mwu_hop_limited :
   ?pool:Sso_engine.Pool.t ->
   ?iters:int ->
-  ?batched:bool ->
   max_hops:int ->
   Sso_graph.Graph.t -> Sso_demand.Demand.t -> (Routing.t * float) option
 (** Approximate [opt^{(h)}_{G,ℝ}(d)]: min congestion over routings with
-    dilation ≤ [max_hops].  [None] if some demanded pair is not reachable
-    within the hop budget. *)
+    dilation ≤ [max_hops], answering each source's targets from one
+    hop-limited DP ({!Sso_graph.Shortest.hop_limited_paths}).  [None] if
+    some demanded pair is not reachable within the hop budget. *)
 
 val lower_bound_sparse_cut : Sso_graph.Graph.t -> Sso_demand.Demand.t -> float
 (** A cheap certified lower bound on [opt_{G,ℝ}(d)]: the max over demanded

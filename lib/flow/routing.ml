@@ -92,14 +92,14 @@ let edge_loads g r d =
     d ();
   loads
 
+(* A float loop: [Array.iteri] over the loads boxes every element. *)
 let congestion g r d =
   let loads = edge_loads g r d in
   let best = ref 0.0 in
-  Array.iteri
-    (fun e load ->
-      let c = load /. Graph.cap g e in
-      if c > !best then best := c)
-    loads;
+  for e = 0 to Array.length loads - 1 do
+    let c = loads.(e) /. Graph.cap g e in
+    if c > !best then best := c
+  done;
   !best
 
 let edge_congestion g r d e =

@@ -6,6 +6,7 @@ module Graph = Sso_graph.Graph
 module Path = Sso_graph.Path
 module Gen = Sso_graph.Gen
 module Yen = Sso_graph.Yen
+module Shortest = Sso_graph.Shortest
 module Demand = Sso_demand.Demand
 module Routing = Sso_flow.Routing
 module Min_congestion = Sso_flow.Min_congestion
@@ -602,11 +603,18 @@ let prop_round_preserves_counts =
       let a = Rounding.round rng r d in
       Demand.equal (Rounding.demand_of a) d)
 
-(* Source-batched oracles: the batched MWU must return routings that are
-   byte-identical to the per-pair oracle, at any pool size.  This is the
-   determinism contract the kernel refactor promises (E3/E14 depend on it). *)
-
 module Pool = Sso_engine.Pool
+
+let with_pool jobs f =
+  let p = Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+
+(* Source-batched oracles: the MWU oracle solvers answer every target of a
+   source from one single-source pass.  On each solver's own instance the
+   batched kernel must return exactly the per-pair kernel's path — under
+   unit weights (ties everywhere) and under weights grown from the solved
+   routing's edge loads, as the game's are — and the routing must be
+   byte-identical at pools of 1 and 4 jobs. *)
 
 let exact_same_routing label r1 r2 =
   let dump r =
@@ -626,39 +634,58 @@ let batched_demand () =
   Demand.of_list
     [ (0, 5, 1.0); (0, 7, 2.0); (0, 11, 1.0); (2, 9, 1.5); (2, 13, 1.0); (4, 10, 0.5) ]
 
-let with_pool jobs f =
-  let p = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+let check_batched_matches_per_pair ~batched ~per_pair g r d =
+  let loads = Routing.edge_loads g r d in
+  let weights = [ ("unit", fun _ -> 1.0); ("loads", fun e -> exp loads.(e)) ] in
+  let pairs = Demand.fold (fun s t _ acc -> (s, t) :: acc) d [] in
+  let sources = List.sort_uniq compare (List.map fst pairs) in
+  List.iter
+    (fun (wname, weight) ->
+      List.iter
+        (fun s ->
+          let ts =
+            Array.of_list
+              (List.sort compare
+                 (List.filter_map (fun (s', t) -> if s' = s then Some t else None) pairs))
+          in
+          Array.iteri
+            (fun i p ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s weights %d -> %d" wname s ts.(i))
+                true
+                (Option.equal Path.equal p (per_pair ~weight s ts.(i))))
+            (batched ~weight s ts))
+        sources)
+    weights
 
 let test_mwu_unrestricted_batched_matches_per_pair () =
-  let rng = Rng.create 21 in
-  let g = Gen.random_regular rng 16 4 in
+  let g = Gen.random_regular (Rng.create 21) 16 4 in
   let d = batched_demand () in
-  let solve ~pool ~batched =
-    fst (Min_congestion.mwu_unrestricted ~pool ~iters:60 ~batched g d)
-  in
+  let solve pool = fst (Min_congestion.mwu_unrestricted ~pool ~iters:60 g d) in
   with_pool 1 @@ fun p1 ->
   with_pool 4 @@ fun p4 ->
-  let reference = solve ~pool:p1 ~batched:false in
-  exact_same_routing "batched jobs 1" reference (solve ~pool:p1 ~batched:true);
-  exact_same_routing "per-pair jobs 4" reference (solve ~pool:p4 ~batched:false);
-  exact_same_routing "batched jobs 4" reference (solve ~pool:p4 ~batched:true)
+  let reference = solve p1 in
+  exact_same_routing "jobs 4" reference (solve p4);
+  check_batched_matches_per_pair g reference d
+    ~batched:(fun ~weight s ts -> Shortest.dijkstra_paths g ~weight s ts)
+    ~per_pair:(fun ~weight s t -> Shortest.dijkstra_path g ~weight s t)
 
 let test_mwu_hop_limited_batched_matches_per_pair () =
-  let rng = Rng.create 22 in
-  let g = Gen.random_regular rng 16 4 in
+  let g = Gen.random_regular (Rng.create 22) 16 4 in
   let d = batched_demand () in
-  let solve ~pool ~batched =
-    match Min_congestion.mwu_hop_limited ~pool ~iters:30 ~batched ~max_hops:6 g d with
+  let max_hops = 6 in
+  let solve pool =
+    match Min_congestion.mwu_hop_limited ~pool ~iters:30 ~max_hops g d with
     | Some (r, _) -> r
     | None -> Alcotest.fail "hop-limited solve should be feasible"
   in
   with_pool 1 @@ fun p1 ->
   with_pool 4 @@ fun p4 ->
-  let reference = solve ~pool:p1 ~batched:false in
-  exact_same_routing "batched jobs 1" reference (solve ~pool:p1 ~batched:true);
-  exact_same_routing "per-pair jobs 4" reference (solve ~pool:p4 ~batched:false);
-  exact_same_routing "batched jobs 4" reference (solve ~pool:p4 ~batched:true)
+  let reference = solve p1 in
+  exact_same_routing "jobs 4" reference (solve p4);
+  check_batched_matches_per_pair g reference d
+    ~batched:(fun ~weight s ts -> Shortest.hop_limited_paths g ~weight ~max_hops s ts)
+    ~per_pair:(fun ~weight s t -> Shortest.hop_limited_path g ~weight ~max_hops s t)
 
 (* Stage-4 MWU/GK golden pins.  The instances live on a k=8 fat-tree
    (m = 256) whose candidates touch only a few dozen edges, so a change
@@ -801,6 +828,14 @@ let test_stage4_golden_pins () =
         (name ^ " last round") (List.assoc name stage4_round_golden) got)
     rounds
 
+(* 32 edge-switch pairs of a k-ary fat-tree, four routes each. *)
+let fat32_entries k =
+  let half = k / 2 in
+  List.init 32 (fun i ->
+      let src = (i, i mod half) and dst = ((i + 7) mod k, i * 5 mod half) in
+      let routes = List.init 4 (fun j -> ((i + (5 * j)) mod half, 3 * j mod half)) in
+      (src, dst, 1.0 +. float_of_int (i mod 3), routes))
+
 (* Per-round allocation of the candidate MWU: the minor words of 200
    rounds minus those of 100, over 100, on a k=32 fat-tree (m = 16,384)
    with 32 pairs of four candidates each.  A round may allocate per pair
@@ -808,13 +843,7 @@ let test_stage4_golden_pins () =
 let test_candidate_round_allocation () =
   let k = 32 in
   let g = Gen.fat_tree k in
-  let half = k / 2 in
-  let entries =
-    List.init 32 (fun i ->
-        let src = (i, i mod half) and dst = ((i + 7) mod k, i * 5 mod half) in
-        let routes = List.init 4 (fun j -> ((i + (5 * j)) mod half, 3 * j mod half)) in
-        (src, dst, 1.0 +. float_of_int (i mod 3), routes))
-  in
+  let entries = fat32_entries k in
   let sc = fat_candidates g k entries and d = fat_demand k entries in
   let pairs = Demand.support_size d in
   with_pool 1 @@ fun pool ->
@@ -829,6 +858,111 @@ let test_candidate_round_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words per round (budget %.0f, m = %d)" per_round budget (Graph.m g))
     true (per_round <= budget)
+
+(* [Routing.congestion] ends every Stage-4 solve.  Summing the loads may
+   allocate per path, but the max over the m-sized load array must not
+   box a float per edge: on a k=32 fat-tree (m = 16,384) one call stays
+   within 16 words per path plus a constant. *)
+let test_congestion_allocation () =
+  let k = 32 in
+  let g = Gen.fat_tree k in
+  let entries = fat32_entries k in
+  let r =
+    Routing.make
+      (List.map
+         (fun ((src, dst, _, routes) as entry) ->
+           (fat_pair k entry, List.map (fun route -> (1.0, fat_path g k src dst route)) routes))
+         entries)
+  in
+  let d = fat_demand k entries in
+  let paths =
+    List.fold_left
+      (fun n (s, t) -> n + List.length (Routing.distribution r s t))
+      0 (Routing.pairs r)
+  in
+  let words () =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Routing.congestion g r d));
+    Gc.minor_words () -. before
+  in
+  ignore (words ());
+  let used = words () in
+  let budget = float_of_int ((16 * paths) + 256) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d paths (budget %.0f, m = %d)" used paths budget (Graph.m g))
+    true (used <= budget)
+
+(* Oracle-solver golden pins: the shortest-path and hop-limited MWU
+   solvers and Garg–Könemann's unrestricted solver on a random 4-regular
+   graph, with several targets per source so the source-grouped oracle
+   answers more than one pair per pass.  Each MWU pin holds at pools of
+   1 and 4 jobs; the last [mwu.round] attrs pin the game's η and
+   normalisation as well as its output. *)
+
+let oracle_pin_runs pool =
+  let g = Gen.random_regular (Rng.create 21) 16 4 in
+  (* Several targets per source, plus one lone pair. *)
+  let d =
+    Demand.of_list
+      [ (0, 5, 1.0); (0, 7, 2.0); (0, 11, 1.0); (2, 9, 1.5); (2, 13, 1.0); (4, 10, 0.5) ]
+  in
+  let masked = fst (Graph.adj g 0).(0) in
+  let feasible = function
+    | Some result -> result
+    | None -> Alcotest.fail "oracle pin instance should be feasible"
+  in
+  let unrestricted, u_round =
+    last_round (fun () -> Min_congestion.mwu_unrestricted ~pool ~iters:60 g d)
+  in
+  let avoiding, a_round =
+    last_round (fun () ->
+        feasible
+          (Min_congestion.mwu_unrestricted_avoiding ~pool ~iters:60
+             ~avoid:(fun e -> e = masked) g d))
+  in
+  let hop, h_round =
+    last_round (fun () ->
+        feasible (Min_congestion.mwu_hop_limited ~pool ~iters:30 ~max_hops:6 g d))
+  in
+  ( [
+      ("unrestricted", unrestricted);
+      ("avoiding", avoiding);
+      ("hop limited", hop);
+      ("gk unrestricted", Concurrent_flow.unrestricted ~epsilon:0.1 g d);
+    ],
+    [ ("unrestricted", u_round); ("avoiding", a_round); ("hop limited", h_round) ] )
+
+let oracle_golden =
+  [
+    ("unrestricted", (4607407598781385933L, -3148242464304813857L));
+    ("avoiding", (4608758678669597081L, -619320916811029277L));
+    ("hop limited", (4607557718768964949L, -4335282397779177664L));
+    ("gk unrestricted", (4607268521608820510L, -8668217907766723506L));
+  ]
+
+(* (potential, avg_congestion, round_congestion) of the last round. *)
+let oracle_round_golden =
+  [
+    ("unrestricted", (4627786387095237428L, 4607407598781385933L, 4616752568008179712L));
+    ("avoiding", (4628293042053316606L, 4608758678669597079L, 4617878467915022336L));
+    ("hop limited", (4625267186053677056L, 4607557718768964949L, 4616752568008179712L));
+  ]
+
+let test_oracle_golden_pins () =
+  List.iter
+    (fun jobs ->
+      with_pool jobs @@ fun pool ->
+      let runs, rounds = oracle_pin_runs pool in
+      let at name = Printf.sprintf "%s (jobs %d)" name jobs in
+      List.iter
+        (fun (name, got) -> check_pin (at name) (List.assoc name oracle_golden) got)
+        runs;
+      List.iter
+        (fun (name, got) ->
+          Alcotest.(check (triple int64 int64 int64))
+            (at name ^ " last round") (List.assoc name oracle_round_golden) got)
+        rounds)
+    [ 1; 4 ]
 
 let () =
   Alcotest.run "flow"
@@ -863,12 +997,14 @@ let () =
           Alcotest.test_case "unrestricted vs lp" `Slow test_unrestricted_lp_matches_mwu;
           Alcotest.test_case "hop limited direct" `Quick test_hop_limited_forces_direct;
           Alcotest.test_case "hop limited infeasible" `Quick test_hop_limited_infeasible;
+          Alcotest.test_case "stage-4 golden pins" `Quick test_stage4_golden_pins;
+          Alcotest.test_case "oracle golden pins" `Quick test_oracle_golden_pins;
           Alcotest.test_case "unrestricted batched = per-pair" `Quick
             test_mwu_unrestricted_batched_matches_per_pair;
           Alcotest.test_case "hop limited batched = per-pair" `Quick
             test_mwu_hop_limited_batched_matches_per_pair;
-          Alcotest.test_case "stage-4 golden pins" `Quick test_stage4_golden_pins;
           Alcotest.test_case "candidate round allocation" `Quick test_candidate_round_allocation;
+          Alcotest.test_case "congestion allocation" `Quick test_congestion_allocation;
           Alcotest.test_case "lower bound sound" `Slow test_lower_bound_sound;
           Alcotest.test_case "lower bound bottleneck" `Quick test_lower_bound_tight_on_bottleneck;
         ] );

@@ -655,6 +655,30 @@ let prop_csr_matches_adj =
                   (List.init (Array.length adj) Fun.id))
            (List.init (Graph.n g) Fun.id))
 
+(* The source-grouped kernels behind the MWU oracle solvers: one pass from
+   [s] must answer every target with exactly the path the per-pair kernel
+   returns — same tie-breaks, same [None]s.  Small integer weights make
+   ties common; the graphs may be disconnected. *)
+let prop_batched_paths_match_per_pair =
+  QCheck.Test.make ~name:"source-grouped shortest paths match per-pair calls" ~count:100
+    QCheck.(triple small_int (int_range 2 24) (int_range 1 6))
+    (fun (seed, n, max_hops) ->
+      let rng = Rng.create (2000 + seed) in
+      let g = Gen.erdos_renyi rng n 0.25 in
+      let w = Array.init (Graph.m g) (fun _ -> float_of_int (1 + Rng.int rng 3)) in
+      let weight e = w.(e) in
+      let s = Rng.int rng n in
+      let ts = Array.init n (fun i -> n - 1 - i) in
+      let same a b = Option.equal Path.equal a b in
+      let batched = Shortest.dijkstra_paths g ~weight s ts in
+      let hop = Shortest.hop_limited_paths g ~weight ~max_hops s ts in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i t ->
+             same batched.(i) (Shortest.dijkstra_path g ~weight s t)
+             && same hop.(i) (Shortest.hop_limited_path g ~weight ~max_hops s t))
+           ts))
+
 let test_iter_adj_matches_adj () =
   let rng = Rng.create 77 in
   let g = Gen.erdos_renyi rng 12 0.4 in
@@ -1320,6 +1344,7 @@ let () =
             prop_heap_sorts;
             prop_heap_int_matches_poly;
             prop_csr_matches_adj;
+            prop_batched_paths_match_per_pair;
             prop_bridges_match_cut_of_one;
           ] );
     ]
